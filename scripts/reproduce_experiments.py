@@ -3,7 +3,8 @@
 
 Runs the five experiments at their reference settings (heatmaps for all
 three methods use the desk-scale surface for the SDR variant).  Use
---quick for a fast smoke-scale pass.
+--quick for a fast 3-seed pass.  Everything the run writes, including the
+desk-scale scenario file, stays under --out.
 
     python scripts/reproduce_experiments.py --out results/ --seeds 20
 """
@@ -11,7 +12,6 @@ three methods use the desk-scale surface for the SDR variant).  Use
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from ris_isac import load_default_scenario
@@ -28,7 +28,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory root")
     parser.add_argument("--seeds", type=int, default=20, help="Monte Carlo seeds")
-    parser.add_argument("--quick", action="store_true", help="small grids, 3 seeds")
+    parser.add_argument("--quick", action="store_true", help="3 seeds instead of --seeds")
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -37,7 +37,8 @@ def main():
 
     # desk-scale copy of the shipped scenario for the SDR-inclusive studies
     small = load_default_scenario().replace(ris_rows=4, ris_cols=4, alpha=0.5)
-    small_file = Path(tempfile.mkdtemp()) / "desk_scale.json"
+    out.mkdir(parents=True, exist_ok=True)
+    small_file = out / "desk_scale.json"
     small_file.write_text(json.dumps(small.to_dict(), indent=2))
 
     for method in ("comm-only", "proposed"):

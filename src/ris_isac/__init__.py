@@ -30,7 +30,7 @@ from .perturb import (
     gain_upper_bound,
     solve_perturbation,
 )
-from .pipeline import SolveOutcome, resolve_lambda, solve_scenario
+from .pipeline import Realization, SolveOutcome, design, realize, solve_scenario
 from .sdr import SdpProblem, SdrSolution, gaussian_randomization, solve_sdp
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "NonConvergence",
     "NumericalError",
     "PerturbationSystem",
+    "Realization",
     "RisIsacError",
     "RisPhase",
     "ScenarioConfig",
@@ -63,11 +64,12 @@ __all__ = [
     "comm_optimal_phase",
     "comm_snr_mrt",
     "compose_phase",
+    "design",
     "gain_upper_bound",
     "gaussian_randomization",
     "load_default_scenario",
     "mrt_beamformer",
-    "resolve_lambda",
+    "realize",
     "solve_perturbation",
     "solve_scenario",
     "solve_sdp",

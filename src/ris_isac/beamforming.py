@@ -44,6 +44,11 @@ class SystemConstants:
             bs_antennas=scenario.bs_antennas,
         )
 
+    @property
+    def gain_prefactor(self) -> float:
+        """P*beta_g*M; divided by the noise power it is the SNR prefactor."""
+        return self.transmit_power_w * self.beta_g * self.bs_antennas
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -104,8 +109,7 @@ def comm_snr_mrt(
     if not (len(v) == len(h_ue) == len(g_ris)):
         raise ShapeError("comm_snr_mrt: length mismatch")
     s = np.sum(np.conj(h_ue) * np.conj(v) * g_ris)  # h^H diag(v^H) g_ris
-    pref = consts.transmit_power_w / consts.noise_power_w * consts.beta_g * consts.bs_antennas
-    return float(pref * np.abs(s) ** 2)
+    return float(consts.gain_prefactor / consts.noise_power_w * np.abs(s) ** 2)
 
 
 def beampattern_gain(
@@ -115,8 +119,7 @@ def beampattern_gain(
     if not (len(v) == len(a_target) == len(g_ris)):
         raise ShapeError("beampattern_gain: length mismatch")
     s = np.sum(np.conj(a_target) * np.conj(v) * g_ris)
-    pref = consts.transmit_power_w * consts.beta_g * consts.bs_antennas
-    return float(pref * np.abs(s) ** 2)
+    return float(consts.gain_prefactor * np.abs(s) ** 2)
 
 
 def beampattern_gain_general(

@@ -111,14 +111,16 @@ def ris_steering_tx(geom: ArrayGeometry, theta: float) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def ris_steering_rx(geom: ArrayGeometry, theta: float) -> np.ndarray:
+def ris_steering_rx(geom: ArrayGeometry, theta: float | np.ndarray) -> np.ndarray:
     """RIS array response toward a target or the user (-cos horizontal term).
 
-    The sign of the horizontal term differs from ris_steering_tx on
+    theta may also be an array of angles; the result then has one row per
+    angle.  The sign of the horizontal term differs from ris_steering_tx on
     purpose; the two link directions use opposite horizontal conventions
     and must not be unified.
     """
     off_v, off_h = _ris_offsets(geom)
+    theta = np.asarray(theta, dtype=float)[..., None]
     phase = -geom.wavenumber * (off_v * np.sin(theta) - off_h * np.cos(theta))
     return np.exp(1j * phase)
 

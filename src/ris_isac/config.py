@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -48,6 +49,15 @@ class LambdaPolicy:
         if self.kind == "adaptive":
             return "adaptive"
         return f"fixed:{self.fraction:g}"
+
+    def normalized(self, alpha: float, sigma_max: float) -> float:
+        """Ridge on the power-normalized stack: adaptive (1 - alpha^2) * sigma_max,
+        heavy when communication dominates, or fixed fraction * sigma_max."""
+        if sigma_max < 0:
+            raise ValueError("sigma_max must be nonnegative")
+        if self.kind == "adaptive":
+            return (1.0 - alpha**2) * sigma_max
+        return self.fraction * sigma_max
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Check structural invariants; raises ConfigError naming the field."""
+        for name in ("bs_antennas", "ris_rows", "ris_cols", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
         if self.bs_antennas < 1:
             raise ConfigError("bs_antennas: must be >= 1")
         if self.ris_rows < 1 or self.ris_cols < 1:
@@ -118,6 +132,9 @@ class ScenarioConfig:
             raise ConfigError("carrier_hz: must be positive")
         if not self.targets:
             raise ConfigError("targets: at least one target required")
+        for i, t in enumerate(self.targets):
+            if not math.isfinite(t.weight):
+                raise ConfigError(f"targets[{i}].weight: must be finite, got {t.weight!r}")
         total = math.fsum(t.weight for t in self.targets)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"targets: weights must sum to 1 (got {total!r})")

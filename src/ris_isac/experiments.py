@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import SystemConstants, to_db
+from .beamforming import SystemConstants
 from .channel import (
     ArrayGeometry,
     angle_from_positions,
@@ -25,9 +25,9 @@ from .channel import (
 )
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
-from .perturb import build_system, gain_upper_bound, solve_perturbation
-from .pipeline import resolve_lambda, solve_scenario
-from .sdr import SdpProblem, build_psi_target, build_psi_ue, gaussian_randomization, solve_sdp
+from .perturb import build_system, eta_targets, solve_perturbation
+from .pipeline import design, realize
+from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
 DEFAULT_SDR_CAP = 64
 DEFAULT_SDR_TRIALS = 100
@@ -109,47 +109,50 @@ class GridSpec:
         return x, y
 
 
-def _gain_pattern_db(v, g_ris, steering_rows, consts) -> np.ndarray:
-    """Beampattern gain (dB) of one phase vector over many directions."""
-    sums = np.conj(steering_rows) @ (np.conj(v) * g_ris)
-    pref = consts.transmit_power_w * consts.beta_g * consts.bs_antennas
-    lin = pref * np.abs(sums) ** 2
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(lin)
+def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
+    """Evaluate every cell on every seed; returns results[cell][seed].
+
+    Seeds are the outer loop: each seed's realization is drawn and
+    factorized once, serves all cells, and is dropped before the next seed,
+    so one realization is alive at a time.
+    """
+    results = [[None] * len(seeds) for _ in cells]
+    for j, seed in enumerate(seeds):
+        real = realize(scenario.replace(seed=seed), child_rng(seed, _CHANNEL_STREAM))
+        for i, cell in enumerate(cells):
+            results[i][j] = evaluate(real, cell)
+    return results
 
 
-def _sdr_phase(scenario, channels, consts, seed, trials=DEFAULT_SDR_TRIALS):
-    """Relaxed solve + randomized extraction for one realization."""
-    desired = gain_upper_bound(scenario.alpha, scenario.weights, consts, scenario.n_elements)
-    problem = SdpProblem(
-        psi_ue=build_psi_ue(channels.h_ue, channels.g_ris, consts),
-        psi_targets=tuple(
-            build_psi_target(a, channels.g_ris, consts) for a in channels.a_targets
-        ),
-        desired_gains=desired,
-    )
+def _method_phase(real, method):
+    """RIS phases of one realization under the requested design method."""
+    s = real.scenario
+    if method == "comm_only":
+        return real.v_comm
+    if method == "proposed":
+        return design(real, s.alpha, s.weights, s.lambda_policy).v_final
+    # sdr: relaxed solve + randomized extraction
+    problem = SdpProblem.from_channels(real.channels, real.consts, s.alpha, s.weights)
     solution = solve_sdp(problem)
     phase, _ = gaussian_randomization(
-        solution.v_matrix, problem, trials, child_rng(seed, _SDR_STREAM)
+        solution.v_matrix, problem, DEFAULT_SDR_TRIALS, child_rng(s.seed, _SDR_STREAM)
     )
-    return phase, solution
+    return phase
 
 
-def _phase_for_method(scenario, method, seed, sdr_cap):
-    """Solve one realization with the requested design method."""
-    if method == "sdr" and scenario.n_elements > sdr_cap:
-        raise CapExceeded(
-            f"sdr requested for N={scenario.n_elements} above cap {sdr_cap}"
-        )
-    outcome = solve_scenario(scenario, child_rng(seed, _CHANNEL_STREAM))
-    if method == "comm_only":
-        return outcome.v_comm, outcome
-    if method == "proposed":
-        return outcome.v_final, outcome
-    if method == "sdr":
-        phase, _ = _sdr_phase(scenario, outcome.channels, outcome.consts, seed)
-        return phase, outcome
-    raise ConfigError(f"unknown method {method!r}")
+def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
+    """Seed-mean beampattern gain (dB) toward each steering row, one per method."""
+    steering_h = np.conj(steering)
+
+    def pattern(real, method):
+        sums = steering_h @ (np.conj(_method_phase(real, method).v) * real.channels.g_ris)
+        lin = real.consts.gain_prefactor * np.abs(sums) ** 2
+        with np.errstate(divide="ignore"):
+            return 10.0 * np.log10(lin)
+
+    results = _run_cells(scenario, seeds, methods, pattern)
+    # a running total in seed order; np.sum's pairwise order would move the last bits
+    return [sum(per_seed, np.zeros(len(steering))) / len(seeds) for per_seed in results]
 
 
 def run_heatmap(
@@ -165,21 +168,19 @@ def run_heatmap(
     RIS (angle-only, no range falloff); the rendering is relative, so only
     gaps between regions are meaningful.
     """
+    if method not in ("proposed", "sdr", "comm_only"):
+        raise ConfigError(f"unknown method {method!r}")
+    if method == "sdr" and scenario.n_elements > sdr_cap:
+        raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {sdr_cap}")
     seeds = list(seeds) if seeds is not None else [scenario.seed]
     x, y = grid.centers()
     geom = ArrayGeometry.from_scenario(scenario)
 
     xx, yy = np.meshgrid(x, y)
     angles = np.arctan2(yy - scenario.ris_pos[1], xx - scenario.ris_pos[0]).ravel()
-    steering = np.stack([ris_steering_rx(geom, th) for th in angles])
-
-    acc = np.zeros(len(angles))
-    consts = None
-    for seed in seeds:
-        phase, outcome = _phase_for_method(scenario, method, seed, sdr_cap)
-        consts = outcome.consts
-        acc += _gain_pattern_db(phase.v, outcome.channels.g_ris, steering, consts)
-    gain = (acc / len(seeds)).reshape(yy.shape)
+    steering = ris_steering_rx(geom, angles)
+    (mean,) = _seed_mean_patterns(scenario, seeds, [method], steering)
+    gain = mean.reshape(yy.shape)
 
     return HeatmapGrid(
         x_m=x,
@@ -209,22 +210,21 @@ def sweep_alpha(
     seeds = list(seeds)
     k = len(scenario.targets)
     gain_cols = [f"gain_t{i + 1}_db" for i in range(k)]
-    rows = []
-    for alpha in alphas:
-        for policy in lambda_policies:
-            policy = LambdaPolicy.parse(policy) if isinstance(policy, str) else policy
-            for seed in seeds:
-                cell = scenario.replace(alpha=float(alpha), lambda_policy=policy, seed=seed)
-                outcome = solve_scenario(cell, child_rng(seed, _CHANNEL_STREAM))
-                row = {
-                    "alpha": float(alpha),
-                    "lambda_policy": str(policy),
-                    "seed": seed,
-                    "gamma_db": outcome.metrics.snr_db,
-                }
-                for col, (_, g_db) in zip(gain_cols, outcome.metrics.gains):
-                    row[col] = g_db
-                rows.append(row)
+    policies = [LambdaPolicy.parse(p) if isinstance(p, str) else p for p in lambda_policies]
+    cells = [(float(alpha), policy) for alpha in alphas for policy in policies]
+
+    def row(real, cell):
+        alpha, policy = cell
+        metrics = design(real, alpha, scenario.weights, policy).metrics
+        return {
+            "alpha": alpha,
+            "lambda_policy": str(policy),
+            "seed": real.scenario.seed,
+            "gamma_db": metrics.snr_db,
+            **{col: g_db for col, (_, g_db) in zip(gain_cols, metrics.gains)},
+        }
+
+    rows = [r for per_seed in _run_cells(scenario, seeds, cells, row) for r in per_seed]
     return SweepResult(
         axis_name="alpha",
         axis_values=tuple(float(a) for a in alphas),
@@ -239,24 +239,22 @@ def sweep_weight_ratio(scenario: ScenarioConfig, ratios, seeds) -> SweepResult:
     if len(scenario.targets) != 2:
         raise ConfigError("sweep_weight_ratio: scenario must have exactly two targets")
     seeds = list(seeds)
-    rows = []
-    for ratio in ratios:
-        r = float(ratio)
-        if r <= 0:
-            raise ConfigError("sweep_weight_ratio: ratios must be positive")
-        weights = (r / (1.0 + r), 1.0 / (1.0 + r))
-        for seed in seeds:
-            cell = scenario.with_weights(weights).replace(seed=seed)
-            outcome = solve_scenario(cell, child_rng(seed, _CHANNEL_STREAM))
-            rows.append(
-                {
-                    "ratio": r,
-                    "seed": seed,
-                    "gamma_db": outcome.metrics.snr_db,
-                    "gain_t1_db": outcome.metrics.gains[0][1],
-                    "gain_t2_db": outcome.metrics.gains[1][1],
-                }
-            )
+    ratios = [float(r) for r in ratios]
+    if any(r <= 0 for r in ratios):
+        raise ConfigError("sweep_weight_ratio: ratios must be positive")
+
+    def row(real, ratio):
+        weights = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
+        metrics = design(real, scenario.alpha, weights, scenario.lambda_policy).metrics
+        return {
+            "ratio": ratio,
+            "seed": real.scenario.seed,
+            "gamma_db": metrics.snr_db,
+            "gain_t1_db": metrics.gains[0][1],
+            "gain_t2_db": metrics.gains[1][1],
+        }
+
+    rows = [r for per_seed in _run_cells(scenario, seeds, ratios, row) for r in per_seed]
     return SweepResult(
         axis_name="ratio",
         axis_values=tuple(float(r) for r in ratios),
@@ -300,23 +298,16 @@ def beampattern_vs_aoa(
     scan = np.unique(np.concatenate([scan, band_angles, [ue_angle_deg]]))
 
     geom = ArrayGeometry.from_scenario(scenario)
-    steering = np.stack([ris_steering_rx(geom, np.deg2rad(a)) for a in scan])
+    steering = ris_steering_rx(geom, np.deg2rad(scan))
 
     methods = ["proposed"]
     if scenario.n_elements <= sdr_cap:
         methods.append("sdr")
-
-    acc = {m: np.zeros(len(scan)) for m in methods}
-    for seed in seeds:
-        for method in methods:
-            phase, outcome = _phase_for_method(band_scenario, method, seed, sdr_cap)
-            acc[method] += _gain_pattern_db(
-                phase.v, outcome.channels.g_ris, steering, outcome.consts
-            )
+    means = _seed_mean_patterns(band_scenario, seeds, methods, steering)
 
     rows = [
-        {"angle_deg": float(a), "method": m, "gain_db": float(acc[m][i] / len(seeds))}
-        for m in methods
+        {"angle_deg": float(a), "method": m, "gain_db": float(mean[i])}
+        for m, mean in zip(methods, means)
         for i, a in enumerate(scan)
     ]
     return SweepResult(
@@ -365,13 +356,13 @@ def run_complexity_probe(
         cell = _probe_scenario(scenario, int(n), k_targets)
         channels = build_channels(cell, child_rng(cell.seed, _CHANNEL_STREAM))
         consts = SystemConstants.from_scenario(cell, channels)
-        eta_bar = cell.alpha * np.asarray(cell.weights) * cell.n_elements
+        eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():
             # check=False: the self-check is debug scaffolding, not solver cost
             system = build_system(channels.h_ue, channels.a_targets, eta_bar, consts, check=False)
-            lam, _ = resolve_lambda(system, cell.lambda_policy, cell.alpha)
-            return solve_perturbation(system, lam)
+            lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
+            return solve_perturbation(system, system.scale**2 * lam)
 
         proposed_once()  # warm up
         times = []
@@ -384,14 +375,7 @@ def run_complexity_probe(
         )
 
         if n <= sdr_cap:
-            desired = gain_upper_bound(cell.alpha, cell.weights, consts, cell.n_elements)
-            problem = SdpProblem(
-                psi_ue=build_psi_ue(channels.h_ue, channels.g_ris, consts),
-                psi_targets=tuple(
-                    build_psi_target(a, channels.g_ris, consts) for a in channels.a_targets
-                ),
-                desired_gains=desired,
-            )
+            problem = SdpProblem.from_channels(channels, consts, cell.alpha, cell.weights)
             solve_sdp(problem)  # warm up
             times = []
             for _ in range(repeats):

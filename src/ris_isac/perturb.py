@@ -18,7 +18,7 @@ exists only inside the solver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,29 +69,6 @@ def comm_optimal_phase(h_ue: np.ndarray, g_ris: np.ndarray) -> RisPhase:
     return RisPhase(np.angle(np.conj(h_ue) * g_ris))
 
 
-def alignment_phases(h_ue: np.ndarray, a_target: np.ndarray) -> np.ndarray:
-    """Per-element phase offsets between the user channel and one target."""
-    if len(h_ue) != len(a_target):
-        raise ShapeError("alignment_phases: length mismatch")
-    return np.angle(h_ue) - np.angle(a_target)
-
-
-def eta_exact(delta_phi: np.ndarray, h_ue: np.ndarray, a_target: np.ndarray) -> complex:
-    """Exact beam sum toward one target for a given perturbation."""
-    if len(delta_phi) != len(h_ue):
-        raise ShapeError("eta_exact: perturbation length mismatch")
-    d = alignment_phases(h_ue, a_target)
-    return complex(np.sum(np.exp(1j * (d - np.asarray(delta_phi, dtype=float)))))
-
-
-def eta_linearized(delta_phi: np.ndarray, h_ue: np.ndarray, a_target: np.ndarray) -> complex:
-    """First-order beam sum: affine in the perturbation."""
-    if len(delta_phi) != len(h_ue):
-        raise ShapeError("eta_linearized: perturbation length mismatch")
-    e = np.exp(1j * alignment_phases(h_ue, a_target))
-    return complex(np.sum(e) - 1j * np.sum(e * np.asarray(delta_phi, dtype=float)))
-
-
 def eta_targets(alpha: float, weights, n_elements: int) -> np.ndarray:
     """Designed beam-sum magnitudes: alpha * weight_k * N."""
     w = np.asarray(weights, dtype=float)
@@ -102,26 +79,53 @@ def eta_targets(alpha: float, weights, n_elements: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PerturbationSystem:
-    """Linearized target system, its real stacking, and the SVD."""
+    """Linearized target system, its real stacking, and the SVD.
 
-    a_complex: np.ndarray  # K x N, unit-modulus rows
-    b_complex: np.ndarray  # K
+    Only b_stacked depends on eta_bar, so one factorization serves any targets.
+    """
+
+    alignment: np.ndarray  # K x N unit-modulus exp(j*(ang(h)-ang(a_k)))
     a_stacked: np.ndarray  # 2K x N real, includes the sqrt(P*M*beta_g) scale
-    b_stacked: np.ndarray  # 2K real
     scale: float  # sqrt(P*M*beta_g)
     svd_u: np.ndarray  # 2K x 2K
     svd_s: np.ndarray  # min(2K, N) singular values, descending
     svd_vt: np.ndarray  # N x N
     eta_bar: np.ndarray  # K
-    alignment: np.ndarray  # K x N unit-modulus exp(j*(ang(h)-ang(a_k)))
 
     @property
     def n_targets(self) -> int:
-        return self.a_complex.shape[0]
+        return self.alignment.shape[0]
 
     @property
     def n_elements(self) -> int:
-        return self.a_complex.shape[1]
+        return self.alignment.shape[1]
+
+    @property
+    def b_stacked(self) -> np.ndarray:
+        """2K real right-hand side: the scaled miss of the unperturbed beam sums."""
+        b = self.alignment.sum(axis=1) - self.eta_bar
+        return self.scale * np.concatenate([b.real, b.imag])
+
+    def with_eta_bar(self, eta_bar) -> "PerturbationSystem":
+        """The same factorization aimed at other beam-sum targets, with the
+        stacking self-check run for them."""
+        eta_bar = np.asarray(eta_bar, dtype=float)
+        if len(eta_bar) != self.n_targets:
+            raise ShapeError("with_eta_bar: eta_bar length mismatch")
+        system = replace(self, eta_bar=eta_bar)
+        system._check_stacking()
+        return system
+
+    def _check_stacking(self) -> None:
+        """Verify on random perturbations that the stacked real objective
+        reproduces the weighted complex objective."""
+        draws = np.random.default_rng(0).standard_normal((_BUILD_CHECK_DRAWS, self.n_elements))
+        lhs = np.sum((draws @ self.a_stacked.T - self.b_stacked) ** 2, axis=1)
+        eta_lin = self.alignment.sum(axis=1) - 1j * (draws @ self.alignment.T)
+        rhs = self.scale**2 * np.sum(np.abs(eta_lin - self.eta_bar) ** 2, axis=1)
+        denom = np.maximum(np.abs(rhs), 1e-30)
+        if np.any(np.abs(lhs - rhs) / denom > _BUILD_CHECK_TOL):
+            raise NumericalError("stacked objective does not match the complex objective")
 
     @property
     def sigma_max(self) -> float:
@@ -179,20 +183,18 @@ def build_system(
     eta_bar = np.asarray(eta_bar, dtype=float)
     if len(eta_bar) != k:
         raise ShapeError("build_system: eta_bar length mismatch")
+    if any(len(a) != n for a in a_targets):
+        raise ShapeError("build_system: target steering length mismatch")
     if k > n:
         warnings.warn(
             f"{k} targets exceed {n} RIS elements; system is overdetermined",
             IllPosedWarning,
         )
 
-    align = np.exp(1j * np.stack([alignment_phases(h_ue, a) for a in a_targets]))
-    c = align.sum(axis=1)
-    a_complex = 1j * align  # d/d(delta_phi) of -(eta - eta_bar)
-    b_complex = c - eta_bar
-
-    scale = float(np.sqrt(consts.transmit_power_w * consts.bs_antennas * consts.beta_g))
-    a_stacked = scale * np.vstack([a_complex.real, a_complex.imag])
-    b_stacked = scale * np.concatenate([b_complex.real, b_complex.imag])
+    align = np.exp(1j * (np.angle(h_ue) - np.angle(np.stack(a_targets))))
+    jacobian = 1j * align  # d/d(delta_phi) of -(eta - eta_bar)
+    scale = float(np.sqrt(consts.gain_prefactor))
+    a_stacked = scale * np.vstack([jacobian.real, jacobian.imag])
 
     try:
         u, s, vt = np.linalg.svd(a_stacked, full_matrices=True)
@@ -200,43 +202,17 @@ def build_system(
         raise NumericalError(f"SVD failed: {exc}") from exc
 
     system = PerturbationSystem(
-        a_complex=a_complex,
-        b_complex=b_complex,
+        alignment=align,
         a_stacked=a_stacked,
-        b_stacked=b_stacked,
         scale=scale,
         svd_u=u,
         svd_s=s,
         svd_vt=vt,
         eta_bar=eta_bar,
-        alignment=align,
     )
-
     if check:
-        rng = np.random.default_rng(0)
-        draws = rng.standard_normal((_BUILD_CHECK_DRAWS, n))
-        lhs = np.sum((draws @ a_stacked.T - b_stacked) ** 2, axis=1)
-        eta_lin = c - 1j * (draws @ align.T)
-        rhs = scale**2 * np.sum(np.abs(eta_lin - eta_bar) ** 2, axis=1)
-        denom = np.maximum(np.abs(rhs), 1e-30)
-        if np.any(np.abs(lhs - rhs) / denom > _BUILD_CHECK_TOL):
-            raise NumericalError("stacked objective does not match the complex objective")
-
+        system._check_stacking()
     return system
-
-
-def lambda_schedule(alpha: float, sigma_max: float) -> float:
-    """Adaptive ridge: heavy regularization when communication dominates."""
-    if sigma_max < 0:
-        raise ValueError("sigma_max must be nonnegative")
-    return (1.0 - alpha**2) * sigma_max
-
-
-def fixed_fraction_lambda(fraction: float, sigma_max: float) -> float:
-    """Fixed-fraction ridge: fraction * sigma_max."""
-    if sigma_max < 0:
-        raise ValueError("sigma_max must be nonnegative")
-    return fraction * sigma_max
 
 
 def solve_perturbation(system: PerturbationSystem, lam: float) -> SolveReport:
@@ -256,12 +232,13 @@ def solve_perturbation(system: PerturbationSystem, lam: float) -> SolveReport:
     else:
         filt = s / (s**2 + lam)
 
-    coeffs = filt * (system.svd_u.T @ system.b_stacked)[: len(s)]
+    b_stacked = system.b_stacked
+    coeffs = filt * (system.svd_u.T @ b_stacked)[: len(s)]
     y = np.zeros(system.n_elements)
     y[: len(s)] = coeffs
     delta_phi = system.svd_vt.T @ y
 
-    residual = float(np.linalg.norm(system.a_stacked @ delta_phi - system.b_stacked))
+    residual = float(np.linalg.norm(system.a_stacked @ delta_phi - b_stacked))
     objective = system.objective_exact(delta_phi)
 
     bound = float(np.sum(delta_phi**2) / 2.0)
@@ -288,6 +265,5 @@ def compose_phase(v_star: RisPhase, delta_phi: np.ndarray) -> RisPhase:
 
 def gain_upper_bound(alpha: float, weights, consts: SystemConstants, n_elements: int) -> np.ndarray:
     """Per-target ceiling on the beampattern gain, in linear units."""
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    pref = consts.transmit_power_w * consts.beta_g * consts.bs_antennas
-    return pref * np.abs(alpha * w * n_elements) ** 2
+    eta = eta_targets(alpha, np.atleast_1d(weights), n_elements)
+    return consts.gain_prefactor * np.abs(eta) ** 2

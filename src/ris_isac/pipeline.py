@@ -1,5 +1,9 @@
 """End-to-end solves: scenario -> channels -> phase design -> metrics.
 
+realize() draws one fading realization and factorizes it; design() aims
+that factorization at alpha * w * N under a ridge policy and evaluates the
+result, so any number of designs can share one realization.
+
 The ridge passed to the SVD solver always refers to the scaled stacked
 system.  The lambda policies, however, are defined on the power-normalized
 stack (scale divided out), so the communication/sensing trade-off they
@@ -17,7 +21,6 @@ import numpy as np
 from .beamforming import Metrics, SystemConstants, metrics_for
 from .channel import ChannelSet, Rng, build_channels, child_rng
 from .config import LambdaPolicy, ScenarioConfig
-from .errors import ConfigError
 from .perturb import (
     PerturbationSystem,
     RisPhase,
@@ -26,74 +29,80 @@ from .perturb import (
     comm_optimal_phase,
     compose_phase,
     eta_targets,
-    fixed_fraction_lambda,
     gain_upper_bound,
-    lambda_schedule,
     solve_perturbation,
 )
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
-    """Everything produced by one proposed-method solve."""
+class Realization:
+    """One fading realization with its factorized perturbation system."""
 
     scenario: ScenarioConfig
     channels: ChannelSet
     consts: SystemConstants
     v_comm: RisPhase
-    system: PerturbationSystem
+    metrics_comm_only: Metrics
+    system: PerturbationSystem  # aimed at the scenario's own targets, unchecked
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    """Everything produced by one proposed-method design."""
+
+    realization: Realization
+    system: PerturbationSystem  # aimed at this design's targets
     report: SolveReport
     v_final: RisPhase
     metrics: Metrics
-    metrics_comm_only: Metrics
     lambda_normalized: float
     gain_bounds: np.ndarray
 
 
-def resolve_lambda(
-    system: PerturbationSystem, policy: LambdaPolicy, alpha: float
-) -> tuple[float, float]:
-    """Ridge for the scaled system plus the normalized policy value."""
-    sigma_norm = system.sigma_max_normalized
-    if policy.kind == "adaptive":
-        lam_norm = lambda_schedule(alpha, sigma_norm)
-    elif policy.kind == "fixed_fraction":
-        lam_norm = fixed_fraction_lambda(policy.fraction, sigma_norm)
-    else:  # pragma: no cover - LambdaPolicy validates kind
-        raise ConfigError(f"unknown lambda policy {policy.kind!r}")
-    return system.scale**2 * lam_norm, lam_norm
-
-
-def solve_scenario(
-    scenario: ScenarioConfig,
-    rng: Rng | None = None,
-    check_build: bool = True,
-) -> SolveOutcome:
-    """Run the full closed-form design for one fading realization."""
+def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
+    """Draw the channels of one realization and factorize its system."""
     if rng is None:
         rng = child_rng(scenario.seed, 0)
     channels = build_channels(scenario, rng)
     consts = SystemConstants.from_scenario(scenario, channels)
-
-    v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
     targets = eta_targets(scenario.alpha, scenario.weights, scenario.n_elements)
-    system = build_system(channels.h_ue, channels.a_targets, targets, consts, check=check_build)
-    lam_scaled, lam_norm = resolve_lambda(system, scenario.lambda_policy, scenario.alpha)
-    report = solve_perturbation(system, lam_scaled)
-    v_final = compose_phase(v_comm, report.delta_phi)
-
-    return SolveOutcome(
+    # design() checks the stacking for the targets it actually solves for
+    system = build_system(channels.h_ue, channels.a_targets, targets, consts, check=False)
+    v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
+    return Realization(
         scenario=scenario,
         channels=channels,
         consts=consts,
         v_comm=v_comm,
+        metrics_comm_only=metrics_for(v_comm.v, channels, consts),
+        system=system,
+    )
+
+
+def design(
+    realization: Realization, alpha: float, weights, policy: LambdaPolicy
+) -> SolveOutcome:
+    """Closed-form design for one (alpha, weights, policy) on a realization."""
+    n = realization.scenario.n_elements
+    system = realization.system.with_eta_bar(eta_targets(alpha, weights, n))
+    lam_norm = policy.normalized(alpha, system.sigma_max_normalized)
+    report = solve_perturbation(system, system.scale**2 * lam_norm)
+    v_final = compose_phase(realization.v_comm, report.delta_phi)
+    channels, consts = realization.channels, realization.consts
+
+    return SolveOutcome(
+        realization=realization,
         system=system,
         report=report,
         v_final=v_final,
         metrics=metrics_for(v_final.v, channels, consts),
-        metrics_comm_only=metrics_for(v_comm.v, channels, consts),
         lambda_normalized=lam_norm,
-        gain_bounds=gain_upper_bound(
-            scenario.alpha, scenario.weights, consts, scenario.n_elements
-        ),
+        gain_bounds=gain_upper_bound(alpha, weights, consts, n),
+    )
+
+
+def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:
+    """Run the full closed-form design for one fading realization."""
+    return design(
+        realize(scenario, rng), scenario.alpha, scenario.weights, scenario.lambda_policy
     )

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Metrics, SystemConstants
-from .channel import Rng
+from .channel import ChannelSet, Rng
 from .errors import ConfigError, Infeasible, NonConvergence, NumericalError, ShapeError
-from .perturb import RisPhase
+from .perturb import RisPhase, gain_upper_bound
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 5000
@@ -40,6 +40,19 @@ class SdpProblem:
     psi_targets: tuple[np.ndarray, ...]
     desired_gains: np.ndarray
 
+    @classmethod
+    def from_channels(
+        cls, channels: ChannelSet, consts: SystemConstants, alpha: float, weights
+    ) -> "SdpProblem":
+        """Trace forms of one realization, with the gain ceilings as floors."""
+        return cls(
+            psi_ue=build_psi_ue(channels.h_ue, channels.g_ris, consts),
+            psi_targets=tuple(
+                build_psi_target(a, channels.g_ris, consts) for a in channels.a_targets
+            ),
+            desired_gains=gain_upper_bound(alpha, weights, consts, len(channels.h_ue)),
+        )
+
     @property
     def n_elements(self) -> int:
         return self.psi_ue.shape[0]
@@ -53,15 +66,13 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdrSolution:
-    """Relaxed optimum plus (optionally) the randomized extraction."""
+    """Relaxed optimum of the SDP."""
 
     v_matrix: np.ndarray  # Hermitian PSD, unit diagonal
     relaxed_objective: float
     constraint_residuals: np.ndarray  # desired - achieved, per target (<=0 when met)
     diag_residual: float
     iterations: int
-    extracted_v: RisPhase | None = None
-    extracted_metrics: Metrics | None = None
 
 
 def _rank_one_psi(weight: float, steering: np.ndarray, g_ris: np.ndarray) -> np.ndarray:
@@ -73,16 +84,14 @@ def build_psi_ue(h_ue: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -
     """SNR trace-form matrix; rank one and PSD by construction."""
     if len(h_ue) != len(g_ris):
         raise ShapeError("build_psi_ue: length mismatch")
-    w = consts.transmit_power_w / consts.noise_power_w * consts.beta_g * consts.bs_antennas
-    return _rank_one_psi(w, h_ue, g_ris)
+    return _rank_one_psi(consts.gain_prefactor / consts.noise_power_w, h_ue, g_ris)
 
 
 def build_psi_target(a_target: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -> np.ndarray:
     """Beampattern-gain trace-form matrix for one target."""
     if len(a_target) != len(g_ris):
         raise ShapeError("build_psi_target: length mismatch")
-    w = consts.transmit_power_w * consts.beta_g * consts.bs_antennas
-    return _rank_one_psi(w, a_target, g_ris)
+    return _rank_one_psi(consts.gain_prefactor, a_target, g_ris)
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
@@ -212,7 +221,7 @@ def solve_sdp(
         constraint_residuals=problem.desired_gains - achieved,
         diag_residual=float(np.max(np.abs(np.real(np.diagonal(z)) - 1.0))),
         iterations=it,
-        )
+    )
 
 
 def gaussian_randomization(

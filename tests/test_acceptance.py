@@ -16,11 +16,10 @@ from ris_isac import (
     child_rng,
     comm_optimal_phase,
     comm_snr_mrt,
-    gain_upper_bound,
     gaussian_randomization,
     load_default_scenario,
     mrt_beamformer,
-    resolve_lambda,
+    realize,
     solve_perturbation,
     solve_scenario,
     solve_sdp,
@@ -33,7 +32,6 @@ from ris_isac.experiments import (
     sweep_alpha,
     sweep_weight_ratio,
 )
-from ris_isac.sdr import build_psi_target, build_psi_ue
 
 SEEDS = list(range(1, 21))
 
@@ -62,7 +60,7 @@ def alpha_half_means(scenario):
     cell = scenario.replace(alpha=0.5)
     policies = ("fixed:0.5", "adaptive", "fixed:0.1")
     sweep = sweep_alpha(cell, [0.5], policies, SEEDS)
-    systems = [solve_scenario(cell.replace(seed=s)).system for s in SEEDS]
+    systems = [realize(cell.replace(seed=s)).system for s in SEEDS]
     out = {}
     for policy in policies:
         gamma = sweep.mean_over_seeds("gamma_db", lambda_policy=policy)
@@ -71,7 +69,7 @@ def alpha_half_means(scenario):
             sweep.mean_over_seeds("gain_t2_db", lambda_policy=policy),
         ])
         ridge = np.mean([
-            resolve_lambda(system, LambdaPolicy.parse(policy), cell.alpha)[1]
+            LambdaPolicy.parse(policy).normalized(cell.alpha, system.sigma_max_normalized)
             / system.sigma_max_normalized
             for system in systems
         ])
@@ -209,7 +207,7 @@ def test_criterion_07_target_gain_uplift(scenario):
         o = solve_scenario(scenario.replace(alpha=1.0, seed=seed))
         # compare the same realization with and without the perturbation
         prop = np.mean([g_db for _, g_db in o.metrics.gains])
-        comm = np.mean([g_db for _, g_db in o.metrics_comm_only.gains])
+        comm = np.mean([g_db for _, g_db in o.realization.metrics_comm_only.gains])
         diffs.append(prop - comm)
     uplift = float(np.mean(diffs))
     report(7, "target-gain uplift", uplift >= 15.0, f"mean uplift {uplift:.2f} dB")
@@ -266,12 +264,8 @@ def test_criterion_09_sdr_dominance(scenario):
     cell = scenario.replace(ris_rows=4, ris_cols=4, alpha=0.5)
     ch = build_channels(cell, child_rng(cell.seed, 0))
     consts = SystemConstants.from_scenario(cell, ch)
-    desired = gain_upper_bound(cell.alpha, cell.weights, consts, cell.n_elements)
-    problem = SdpProblem(
-        psi_ue=build_psi_ue(ch.h_ue, ch.g_ris, consts),
-        psi_targets=tuple(build_psi_target(a, ch.g_ris, consts) for a in ch.a_targets),
-        desired_gains=desired,
-    )
+    problem = SdpProblem.from_channels(ch, consts, cell.alpha, cell.weights)
+    desired = problem.desired_gains
     sol = solve_sdp(problem, tol=1e-6)
     relaxed = sol.relaxed_objective
     tol_rel = 1e-3 * relaxed

@@ -40,6 +40,23 @@ class TestValidate:
         assert main(["validate", "--scenario", str(p)]) == EXIT_CONFIG
         assert "targets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, mutate",
+        [
+            ("targets[0].weight", lambda d: d["targets"][0].update(weight=float("nan"))),
+            ("seed", lambda d: d.update(seed=1.5)),
+            ("ris_rows", lambda d: d.update(ris_rows=2.5)),
+        ],
+        ids=["nan_weight", "fractional_seed", "fractional_ris_rows"],
+    )
+    def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):
+        d = scenario.to_dict()
+        mutate(d)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        assert main(["solve", "--scenario", str(p)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_alpha_out_of_range(self, tmp_path, scenario):
         d = scenario.to_dict()
         d["alpha"] = 1.5

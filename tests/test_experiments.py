@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ris_isac import CapExceeded, ConfigError, TargetSpec
+from ris_isac import CapExceeded, ConfigError, LambdaPolicy, TargetSpec, solve_scenario
 from ris_isac.channel import angle_from_positions
 from ris_isac.experiments import (
     GridSpec,
@@ -84,6 +84,39 @@ class TestSweepAlpha:
         assert r.mean_over_seeds("gamma_db", alpha=0.5) == pytest.approx(np.mean(vals))
         with pytest.raises(KeyError):
             r.mean_over_seeds("gamma_db", alpha=0.123)
+
+
+class TestSharedRealization:
+    """Cells that share a seed's realization equal independent solves exactly."""
+
+    def test_sweep_alpha_matches_independent_solves(self, scenario):
+        alphas, policies, seeds = [0.25, 1.0], ["adaptive", "fixed:0.1"], [1, 2]
+        r = sweep_alpha(scenario, alphas, policies, seeds)
+        assert [(row["alpha"], row["lambda_policy"], row["seed"]) for row in r.rows] == [
+            (a, p, s) for a in alphas for p in policies for s in seeds
+        ]
+        for row in r.rows:
+            cell = scenario.replace(
+                alpha=row["alpha"],
+                lambda_policy=LambdaPolicy.parse(row["lambda_policy"]),
+                seed=row["seed"],
+            )
+            metrics = solve_scenario(cell).metrics
+            assert row["gamma_db"] == metrics.snr_db
+            assert (row["gain_t1_db"], row["gain_t2_db"]) == tuple(g for _, g in metrics.gains)
+
+    def test_sweep_weight_ratio_matches_independent_solves(self, scenario):
+        base = scenario.replace(alpha=0.5)
+        r = sweep_weight_ratio(base, [1.0, 10.0], [1, 2])
+        assert [(row["ratio"], row["seed"]) for row in r.rows] == [
+            (1.0, 1), (1.0, 2), (10.0, 1), (10.0, 2)
+        ]
+        for row in r.rows:
+            ratio = row["ratio"]
+            cell = base.with_weights((ratio / (1 + ratio), 1 / (1 + ratio)))
+            metrics = solve_scenario(cell.replace(seed=row["seed"])).metrics
+            assert row["gamma_db"] == metrics.snr_db
+            assert (row["gain_t1_db"], row["gain_t2_db"]) == tuple(g for _, g in metrics.gains)
 
 
 class TestSweepWeightRatio:

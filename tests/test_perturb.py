@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ris_isac import (
     ConfigError,
+    LambdaPolicy,
     SystemConstants,
     beampattern_gain,
     build_system,
@@ -14,15 +17,7 @@ from ris_isac import (
     solve_perturbation,
 )
 from ris_isac.errors import IllPosedWarning, NumericalError, ShapeError
-from ris_isac.perturb import (
-    RisPhase,
-    eta_exact,
-    eta_linearized,
-    eta_targets,
-    fixed_fraction_lambda,
-    lambda_schedule,
-    wrap_phase,
-)
+from ris_isac.perturb import RisPhase, eta_targets, wrap_phase
 
 finite_phases = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=32
@@ -72,21 +67,18 @@ class TestEta:
         """Beampattern gain of the composed phases equals the exact beam-sum form."""
         rng = child_rng(11)
         v_star = comm_optimal_phase(channels.h_ue, channels.g_ris)
+        sys_ = build_system(channels.h_ue, channels.a_targets, np.zeros(2), consts)
         for _ in range(20):
             dphi = rng.uniform(-0.5, 0.5, 441)
             v = compose_phase(v_star, dphi)
-            for a in channels.a_targets:
-                eta = eta_exact(dphi, channels.h_ue, a)
-                pref = consts.transmit_power_w * consts.beta_g * consts.bs_antennas
+            for a, eta in zip(channels.a_targets, sys_.eta_exact_all(dphi)):
                 gain = beampattern_gain(v.v, a, channels.g_ris, consts)
-                assert gain == pytest.approx(pref * abs(eta) ** 2, rel=1e-9)
+                assert gain == pytest.approx(consts.gain_prefactor * abs(eta) ** 2, rel=1e-9)
 
-    def test_linearized_matches_exact_at_zero(self, channels):
+    def test_linearized_matches_exact_at_zero(self, channels, consts):
+        sys_ = build_system(channels.h_ue, channels.a_targets, np.zeros(2), consts)
         z = np.zeros(441)
-        for a in channels.a_targets:
-            assert eta_linearized(z, channels.h_ue, a) == pytest.approx(
-                eta_exact(z, channels.h_ue, a)
-            )
+        np.testing.assert_allclose(sys_.eta_linearized_all(z), sys_.eta_exact_all(z))
 
     @given(scale=st.floats(min_value=1e-4, max_value=0.3))
     @settings(max_examples=25, deadline=None)
@@ -94,8 +86,9 @@ class TestEta:
         rng = child_rng(12)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
+        sys_ = build_system(h, [a], np.zeros(1), toy_consts())
         dphi = scale * rng.standard_normal(16)
-        gap = abs(eta_exact(dphi, h, a) - eta_linearized(dphi, h, a))
+        gap = abs(sys_.eta_exact_all(dphi)[0] - sys_.eta_linearized_all(dphi)[0])
         assert gap <= np.sum(dphi**2) / 2.0 + 1e-12
 
     def test_eta_targets(self):
@@ -135,6 +128,29 @@ class TestBuildSystem:
         with pytest.raises(ShapeError):
             build_system(h, [np.ones(8)], np.array([1.0, 2.0]), toy_consts())
 
+    def test_with_eta_bar_matches_fresh_build(self):
+        """Re-aiming one factorization equals building the system for those targets."""
+        rng = child_rng(22)
+        h = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, 24)) for _ in range(3)]
+        first = build_system(h, a_targets, [1.0, 2.0, 3.0], toy_consts())
+        eta_bar = np.array([4.0, 0.5, 7.0])
+        fresh = build_system(h, a_targets, eta_bar, toy_consts())
+        again = first.with_eta_bar(eta_bar)
+        np.testing.assert_array_equal(again.b_stacked, fresh.b_stacked)
+        lam = 0.3 * fresh.sigma_max
+        np.testing.assert_array_equal(
+            solve_perturbation(again, lam).delta_phi, solve_perturbation(fresh, lam).delta_phi
+        )
+
+    def test_with_eta_bar_checks_stacking(self):
+        sys_ = random_system(child_rng(23), 16, 2)
+        broken = replace(sys_, a_stacked=2.0 * sys_.a_stacked)
+        with pytest.raises(NumericalError):
+            broken.with_eta_bar(sys_.eta_bar)
+        with pytest.raises(ShapeError):
+            sys_.with_eta_bar([1.0])
+
     def test_svd_shapes_full(self):
         sys_ = random_system(child_rng(16), 12, 2)
         assert sys_.svd_u.shape == (4, 4)
@@ -144,16 +160,17 @@ class TestBuildSystem:
 
 class TestLambdaSchedules:
     def test_adaptive_endpoints(self):
-        assert lambda_schedule(0.0, 3.0) == 3.0
-        assert lambda_schedule(1.0, 3.0) == 0.0
-        assert lambda_schedule(0.5, 4.0) == pytest.approx(3.0)
+        adaptive = LambdaPolicy("adaptive")
+        assert adaptive.normalized(0.0, 3.0) == 3.0
+        assert adaptive.normalized(1.0, 3.0) == 0.0
+        assert adaptive.normalized(0.5, 4.0) == pytest.approx(3.0)
 
     def test_fixed_fraction(self):
-        assert fixed_fraction_lambda(0.1, 5.0) == pytest.approx(0.5)
+        assert LambdaPolicy("fixed_fraction", 0.1).normalized(0.5, 5.0) == pytest.approx(0.5)
 
     @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1e6))
     def test_adaptive_nonnegative_decreasing(self, alpha, sigma):
-        lam = lambda_schedule(alpha, sigma)
+        lam = LambdaPolicy("adaptive").normalized(alpha, sigma)
         assert 0.0 <= lam <= sigma
 
 

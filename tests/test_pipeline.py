@@ -4,12 +4,13 @@ import pytest
 from ris_isac import (
     LambdaPolicy,
     child_rng,
-    resolve_lambda,
     solve_scenario,
 )
 
 
 class TestResolveLambda:
+    """The ridge each policy resolves to, as solve_scenario reports it."""
+
     def test_adaptive_alpha_zero_is_sigma_max(self, scenario):
         outcome = solve_scenario(scenario.replace(alpha=0.0))
         assert outcome.lambda_normalized == pytest.approx(
@@ -57,11 +58,12 @@ class TestSolveScenario:
         o = solve_scenario(scenario)
         assert o.metrics.snr_db == pytest.approx(23.382017477480485, abs=1e-9)
         assert o.system.sigma_max_normalized == pytest.approx(15.38800258951944, abs=1e-9)
-        assert o.metrics_comm_only.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
+        comm_only = o.realization.metrics_comm_only
+        assert comm_only.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
     def test_alpha_zero_keeps_comm_phase_close(self, scenario):
         o = solve_scenario(scenario.replace(alpha=0.0))
-        assert abs(o.metrics.snr_db - o.metrics_comm_only.snr_db) < 0.5
+        assert abs(o.metrics.snr_db - o.realization.metrics_comm_only.snr_db) < 0.5
 
     def test_gain_bounds_respected_in_linear_sense(self, scenario):
         # exact gains can exceed the design value only through linearization error;
@@ -74,4 +76,4 @@ class TestSolveScenario:
         o = solve_scenario(scenario.replace(alpha=0.5))
         assert len(o.v_final) == scenario.n_elements
         assert o.report.max_abs_perturbation < np.pi
-        assert o.metrics.snr_linear <= o.metrics_comm_only.snr_linear + 1e-9
+        assert o.metrics.snr_linear <= o.realization.metrics_comm_only.snr_linear + 1e-9

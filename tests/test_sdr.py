@@ -12,26 +12,18 @@ from ris_isac import (
     build_channels,
     child_rng,
     comm_snr_mrt,
-    gain_upper_bound,
     gaussian_randomization,
     solve_sdp,
 )
-from ris_isac.sdr import build_psi_target, build_psi_ue, psd_project
+from ris_isac.sdr import psd_project
 
 
 @pytest.fixture(scope="module")
 def small_problem(small_scenario):
     channels = build_channels(small_scenario, child_rng(small_scenario.seed, 0))
     consts = SystemConstants.from_scenario(small_scenario, channels)
-    desired = gain_upper_bound(
-        small_scenario.alpha, small_scenario.weights, consts, small_scenario.n_elements
-    )
-    problem = SdpProblem(
-        psi_ue=build_psi_ue(channels.h_ue, channels.g_ris, consts),
-        psi_targets=tuple(
-            build_psi_target(a, channels.g_ris, consts) for a in channels.a_targets
-        ),
-        desired_gains=desired,
+    problem = SdpProblem.from_channels(
+        channels, consts, small_scenario.alpha, small_scenario.weights
     )
     return problem, channels, consts
 
