@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import ConfigError
 
 WEIGHT_SUM_TOL = 1e-12
+_INT_FIELDS = ("bs_antennas", "ris_rows", "ris_cols", "seed")
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Check structural invariants; raises ConfigError naming the field."""
-        for name in ("bs_antennas", "ris_rows", "ris_cols", "seed"):
+        for name in _INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
         if self.bs_antennas < 1:
             raise ConfigError("bs_antennas: must be >= 1")
@@ -202,6 +203,10 @@ class ScenarioConfig:
         policy = data.pop("lambda_policy", "adaptive")
         if isinstance(policy, str):
             policy = LambdaPolicy.parse(policy)
+
+        for name in _INT_FIELDS:
+            if isinstance(data.get(name), float) and data[name].is_integer():
+                data[name] = int(data[name])  # JSON writes 11.0 for 11 as well
 
         known = set(cls.__dataclass_fields__)
         unknown = [k for k in data if k not in known]

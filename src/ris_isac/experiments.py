@@ -359,8 +359,7 @@ def run_complexity_probe(
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():
-            # check=False: the self-check is debug scaffolding, not solver cost
-            system = build_system(channels.h_ue, channels.a_targets, eta_bar, consts, check=False)
+            system = build_system(channels.h_ue, channels.a_targets, eta_bar, consts)
             lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
             return solve_perturbation(system, system.scale**2 * lam)
 

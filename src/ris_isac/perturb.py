@@ -167,13 +167,12 @@ def build_system(
     a_targets,
     eta_bar: np.ndarray,
     consts: SystemConstants,
-    check: bool = True,
 ) -> PerturbationSystem:
     """Assemble the linearized system and its SVD.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
-    weighted complex objective; with check=True this is verified on random
-    perturbations at build time.
+    weighted complex objective; with_eta_bar() verifies this for the
+    targets a design actually solves for.
     """
     a_targets = list(a_targets)
     k = len(a_targets)
@@ -201,7 +200,7 @@ def build_system(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
 
-    system = PerturbationSystem(
+    return PerturbationSystem(
         alignment=align,
         a_stacked=a_stacked,
         scale=scale,
@@ -210,9 +209,6 @@ def build_system(
         svd_vt=vt,
         eta_bar=eta_bar,
     )
-    if check:
-        system._check_stacking()
-    return system
 
 
 def solve_perturbation(system: PerturbationSystem, lam: float) -> SolveReport:

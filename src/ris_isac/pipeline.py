@@ -43,7 +43,7 @@ class Realization:
     consts: SystemConstants
     v_comm: RisPhase
     metrics_comm_only: Metrics
-    system: PerturbationSystem  # aimed at the scenario's own targets, unchecked
+    system: PerturbationSystem  # aimed at the scenario's own targets; design() re-aims it
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
     channels = build_channels(scenario, rng)
     consts = SystemConstants.from_scenario(scenario, channels)
     targets = eta_targets(scenario.alpha, scenario.weights, scenario.n_elements)
-    # design() checks the stacking for the targets it actually solves for
-    system = build_system(channels.h_ue, channels.a_targets, targets, consts, check=False)
+    system = build_system(channels.h_ue, channels.a_targets, targets, consts)
     v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
     return Realization(
         scenario=scenario,

@@ -140,7 +140,7 @@ def test_criterion_03_stacking_equivalence():
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
         eta_bar = rng.uniform(0.0, n, k)
-        sys_ = build_system(h, a_targets, eta_bar, consts, check=False)
+        sys_ = build_system(h, a_targets, eta_bar, consts)
         dphi = rng.standard_normal(n)
         lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked) ** 2
         rhs = sys_.scale**2 * np.sum(np.abs(sys_.eta_linearized_all(dphi) - eta_bar) ** 2)
@@ -160,7 +160,7 @@ def test_criterion_04_solver_matches_oracle():
         consts = SystemConstants(1.0, 1e-11, 1e-6, 11)
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
-        sys_ = build_system(h, a_targets, rng.uniform(0, n, k), consts, check=False)
+        sys_ = build_system(h, a_targets, rng.uniform(0, n, k), consts)
         for frac in (1e-3, 1.0, 10.0):
             lam = frac * sys_.sigma_max
             got = solve_perturbation(sys_, lam).delta_phi

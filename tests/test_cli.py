@@ -46,8 +46,9 @@ class TestValidate:
             ("targets[0].weight", lambda d: d["targets"][0].update(weight=float("nan"))),
             ("seed", lambda d: d.update(seed=1.5)),
             ("ris_rows", lambda d: d.update(ris_rows=2.5)),
+            ("seed", lambda d: d.update(seed=True)),
         ],
-        ids=["nan_weight", "fractional_seed", "fractional_ris_rows"],
+        ids=["nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed"],
     )
     def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):
         d = scenario.to_dict()
@@ -56,6 +57,16 @@ class TestValidate:
         p.write_text(json.dumps(d))
         assert main(["solve", "--scenario", str(p)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    def test_whole_number_counts_accepted(self, tmp_path, scenario, capsys):
+        d = scenario.to_dict()
+        assert main(["solve"]) == EXIT_OK
+        expected = capsys.readouterr().out
+        d.update(bs_antennas=float(d["bs_antennas"]), ris_rows=float(d["ris_rows"]))
+        p = tmp_path / "floats.json"
+        p.write_text(json.dumps(d))
+        assert main(["solve", "--scenario", str(p)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_alpha_out_of_range(self, tmp_path, scenario):
         d = scenario.to_dict()
