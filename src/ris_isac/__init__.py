@@ -7,7 +7,7 @@ targets, benchmarked against a semidefinite-relaxation solver.
 
 __version__ = "0.1.0"
 
-from .beamforming import Metrics, SystemConstants, beampattern_gain, comm_snr_mrt, mrt_beamformer
+from .beamforming import Metrics, SystemConstants, beampattern_gain, comm_snr_mrt
 from .channel import ArrayGeometry, ChannelSet, build_channels, child_rng
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
 from .errors import (
@@ -68,7 +68,6 @@ __all__ = [
     "gain_upper_bound",
     "gaussian_randomization",
     "load_default_scenario",
-    "mrt_beamformer",
     "realize",
     "solve_perturbation",
     "solve_scenario",

@@ -1,10 +1,11 @@
-"""Transmit beamformer and the two performance metrics.
+"""The two performance metrics under the matched transmit beamformer.
 
 The BS-RIS channel is rank one, so matched (maximum-ratio) transmission is
 simultaneously optimal for the communication SNR and for every beampattern
-gain.  Both metrics exist in a general pre-MRT form and a factored post-MRT
-form; the pair is kept as mutual oracles.  SNR is analytic throughout: no
-symbols or noise are ever sampled.
+gain.  This module holds both metrics in that factored post-MRT form.  The
+beamformer and the general pre-MRT forms are test oracles and live in
+``tests/oracles.py``.  SNR is analytic throughout: no symbols or noise are
+ever sampled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .channel import ChannelSet
-from .errors import DegenerateGeometry, ShapeError
+from .errors import ShapeError
 
 
 @dataclass(frozen=True)
@@ -74,34 +75,6 @@ def to_db(x: float) -> float:
     return 10.0 * np.log10(x)
 
 
-def mrt_beamformer(g_bs: np.ndarray, power_w: float) -> np.ndarray:
-    """Matched-filter beamformer scaled to the full power budget."""
-    norm = np.linalg.norm(g_bs)
-    if norm == 0.0:
-        raise DegenerateGeometry("mrt_beamformer: zero steering vector")
-    return np.sqrt(power_w) * np.asarray(g_bs, dtype=complex) / norm
-
-
-def comm_snr_general(
-    w: np.ndarray,
-    beta_g: float,
-    g_bs: np.ndarray,
-    g_ris: np.ndarray,
-    h_ue: np.ndarray,
-    v: np.ndarray,
-    noise_power_w: float,
-) -> float:
-    """SNR in the unfactored form, from the rank-one BS-RIS channel factors."""
-    if len(w) != len(g_bs):
-        raise ShapeError("comm_snr_general: w/g_bs length mismatch")
-    if not (len(g_ris) == len(h_ue) == len(v)):
-        raise ShapeError("comm_snr_general: RIS-side length mismatch")
-    # received scalar: h^H diag(v^H) G w with G = sqrt(beta_g) g_ris g_bs^H
-    ris_sum = np.sum(np.conj(h_ue) * np.conj(v) * g_ris)  # h^H diag(v^H) g_ris
-    amp = np.sqrt(beta_g) * ris_sum * np.vdot(g_bs, w)
-    return float(np.abs(amp) ** 2 / noise_power_w)
-
-
 def comm_snr_mrt(
     v: np.ndarray, h_ue: np.ndarray, g_ris: np.ndarray, consts: SystemConstants
 ) -> float:
@@ -120,23 +93,6 @@ def beampattern_gain(
         raise ShapeError("beampattern_gain: length mismatch")
     s = np.sum(np.conj(a_target) * np.conj(v) * g_ris)
     return float(consts.gain_prefactor * np.abs(s) ** 2)
-
-
-def beampattern_gain_general(
-    w: np.ndarray,
-    beta_g: float,
-    g_bs: np.ndarray,
-    g_ris: np.ndarray,
-    v: np.ndarray,
-    a_target: np.ndarray,
-) -> float:
-    """Beampattern gain in the pre-MRT quadratic form; oracle for the factored one."""
-    if len(w) != len(g_bs):
-        raise ShapeError("beampattern_gain_general: w/g_bs length mismatch")
-    if not (len(g_ris) == len(v) == len(a_target)):
-        raise ShapeError("beampattern_gain_general: RIS-side length mismatch")
-    ris_sum = np.sum(np.conj(a_target) * np.conj(v) * g_ris)  # a^H diag(v^H) g_ris
-    return float(beta_g * np.abs(ris_sum) ** 2 * np.abs(np.vdot(g_bs, w)) ** 2)
 
 
 def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) -> Metrics:

@@ -10,13 +10,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
 WEIGHT_SUM_TOL = 1e-12
-_INT_FIELDS = ("bs_antennas", "ris_rows", "ris_cols", "seed")
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,22 @@ class ScenarioConfig:
         return tuple(t.weight for t in self.targets)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ConfigError naming the field."""
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        """Check each field (and each target's) against the kind its annotation names,
+        then the structural invariants; raises ConfigError naming the field."""
+        checked = [(f.name, f.type, getattr(self, f.name)) for f in fields(self)]
+        for i, t in enumerate(self.targets):
+            checked += [
+                (f"targets[{i}].{f.name}", f.type.removesuffix(" | None"), getattr(t, f.name))
+                for f in fields(t)
+                if getattr(t, f.name) is not None
+            ]
+        for name, kind, v in checked:
+            if kind == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ConfigError(f"{name}: must be an integer, got {v!r}")
+            if kind == "float" and not _finite_real(v):
+                raise ConfigError(f"{name}: must be a finite number, got {v!r}")
+            if kind == "tuple[float, float]" and not (len(v) == 2 and all(map(_finite_real, v))):
+                raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
         if self.bs_antennas < 1:
             raise ConfigError("bs_antennas: must be >= 1")
         if self.ris_rows < 1 or self.ris_cols < 1:
@@ -133,9 +147,6 @@ class ScenarioConfig:
             raise ConfigError("carrier_hz: must be positive")
         if not self.targets:
             raise ConfigError("targets: at least one target required")
-        for i, t in enumerate(self.targets):
-            if not math.isfinite(t.weight):
-                raise ConfigError(f"targets[{i}].weight: must be finite, got {t.weight!r}")
         total = math.fsum(t.weight for t in self.targets)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"targets: weights must sum to 1 (got {total!r})")
@@ -204,7 +215,7 @@ class ScenarioConfig:
         if isinstance(policy, str):
             policy = LambdaPolicy.parse(policy)
 
-        for name in _INT_FIELDS:
+        for name in (f.name for f in fields(cls) if f.type == "int"):
             if isinstance(data.get(name), float) and data[name].is_integer():
                 data[name] = int(data[name])  # JSON writes 11.0 for 11 as well
 

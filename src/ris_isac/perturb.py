@@ -230,9 +230,7 @@ def solve_perturbation(system: PerturbationSystem, lam: float) -> SolveReport:
 
     b_stacked = system.b_stacked
     coeffs = filt * (system.svd_u.T @ b_stacked)[: len(s)]
-    y = np.zeros(system.n_elements)
-    y[: len(s)] = coeffs
-    delta_phi = system.svd_vt.T @ y
+    delta_phi = system.svd_vt[: len(s)].T @ coeffs
 
     residual = float(np.linalg.norm(system.a_stacked @ delta_phi - b_stacked))
     objective = system.objective_exact(delta_phi)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .beamforming import Metrics, SystemConstants
 from .channel import ChannelSet, Rng
-from .errors import ConfigError, Infeasible, NonConvergence, NumericalError, ShapeError
+from .errors import ConfigError, Infeasible, NonConvergence, NumericalError
 from .perturb import RisPhase, gain_upper_bound
 
 DEFAULT_TOL = 1e-5
@@ -34,34 +34,36 @@ _STAGNATION_RTOL = 1e-4
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Trace-form problem data: objective matrix, constraint matrices, floors."""
+    """Rank-one trace-form data: SNR = |q_ue^H v|^2, gain_k = |q_k^H v|^2, floors."""
 
-    psi_ue: np.ndarray
-    psi_targets: tuple[np.ndarray, ...]
+    q_ue: np.ndarray  # (N,)
+    q_targets: np.ndarray  # (K, N)
     desired_gains: np.ndarray
 
     @classmethod
     def from_channels(
         cls, channels: ChannelSet, consts: SystemConstants, alpha: float, weights
     ) -> "SdpProblem":
-        """Trace forms of one realization, with the gain ceilings as floors."""
+        """Factors sqrt(P*beta_g*M) * conj(a) * g of one realization, with the
+        gain ceilings as floors; the SNR factor also divides by the noise power."""
+        root = np.sqrt(consts.gain_prefactor) * channels.g_ris
         return cls(
-            psi_ue=build_psi_ue(channels.h_ue, channels.g_ris, consts),
-            psi_targets=tuple(
-                build_psi_target(a, channels.g_ris, consts) for a in channels.a_targets
-            ),
+            q_ue=root * np.conj(channels.h_ue) / np.sqrt(consts.noise_power_w),
+            q_targets=root * np.conj(np.asarray(channels.a_targets)),
             desired_gains=gain_upper_bound(alpha, weights, consts, len(channels.h_ue)),
         )
 
     @property
     def n_elements(self) -> int:
-        return self.psi_ue.shape[0]
+        return self.q_ue.shape[0]
 
-    def snr_of(self, v: np.ndarray) -> float:
-        return float(np.real(np.vdot(v, self.psi_ue @ v)))
+    def snr_of(self, v: np.ndarray) -> np.ndarray:
+        """SNR of one phase vector (N,) or of each row of a batch (T, N)."""
+        return np.abs(v @ np.conj(self.q_ue)) ** 2
 
     def gains_of(self, v: np.ndarray) -> np.ndarray:
-        return np.array([np.real(np.vdot(v, p @ v)) for p in self.psi_targets])
+        """Gains (K,) of one phase vector, or (T, K) for a batch of rows."""
+        return np.abs(v @ np.conj(self.q_targets).T) ** 2
 
 
 @dataclass(frozen=True)
@@ -75,23 +77,9 @@ class SdrSolution:
     iterations: int
 
 
-def _rank_one_psi(weight: float, steering: np.ndarray, g_ris: np.ndarray) -> np.ndarray:
-    q = np.conj(steering) * g_ris  # diag(steering^H) g_ris
-    return weight * np.outer(q, q.conj())
-
-
-def build_psi_ue(h_ue: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -> np.ndarray:
-    """SNR trace-form matrix; rank one and PSD by construction."""
-    if len(h_ue) != len(g_ris):
-        raise ShapeError("build_psi_ue: length mismatch")
-    return _rank_one_psi(consts.gain_prefactor / consts.noise_power_w, h_ue, g_ris)
-
-
-def build_psi_target(a_target: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -> np.ndarray:
-    """Beampattern-gain trace-form matrix for one target."""
-    if len(a_target) != len(g_ris):
-        raise ShapeError("build_psi_target: length mismatch")
-    return _rank_one_psi(consts.gain_prefactor, a_target, g_ris)
+def _quad(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Re q^H M q, i.e. tr(M q q^H), for one vector q or each row of q."""
+    return np.real(np.sum((np.conj(q) @ m) * q, axis=-1))
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
@@ -119,40 +107,30 @@ def solve_sdp(
     rebalanced by factors of 2 when the residuals drift apart.
     """
     n = problem.n_elements
-    k = len(problem.psi_targets)
+    k = len(problem.q_targets)
 
-    # normalize objective and constraints so the iteration is scale-free
-    obj_scale = np.linalg.norm(problem.psi_ue)
-    c_mat = problem.psi_ue / obj_scale if obj_scale > 0 else problem.psi_ue
-    psis, floors = [], []
-    for p, d in zip(problem.psi_targets, problem.desired_gains):
-        nk = np.linalg.norm(p)
-        if nk == 0:
-            raise NumericalError("zero constraint matrix in SDP")
-        psis.append(p / nk)
-        floors.append(d / nk)
-    floors = np.asarray(floors)
+    # normalize objective and constraints so the iteration is scale-free:
+    # each trace form becomes u u^H with a unit-norm u
+    norms = np.linalg.norm(problem.q_targets, axis=1)
+    if np.any(norms == 0):
+        raise NumericalError("zero constraint matrix in SDP")
+    u = problem.q_targets / norms[:, None]
+    floors = problem.desired_gains / norms**2
+    u_ue = problem.q_ue / (np.linalg.norm(problem.q_ue) or 1.0)
+    c_mat = np.outer(u_ue, np.conj(u_ue))
 
     # Gram matrix of the affine-constraint representers (diag entries, gains+slacks)
-    m_tot = n + k
-    gram = np.zeros((m_tot, m_tot))
-    gram[:n, :n] = np.eye(n)
-    for a in range(k):
-        da = np.real(np.diagonal(psis[a]))
-        gram[:n, n + a] = da
-        gram[n + a, :n] = da
-        for b in range(k):
-            gram[n + a, n + b] = np.real(np.trace(psis[a] @ psis[b])) + (1.0 if a == b else 0.0)
+    diag_u = np.abs(u) ** 2
+    cross = np.abs(np.conj(u) @ u.T) ** 2  # tr(u_a u_a^H u_b u_b^H)
+    gram = np.block([[np.eye(n), diag_u.T], [diag_u, cross + np.eye(k)]])
     try:
         gram_cho = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"constraint Gram factorization failed: {exc}") from exc
 
     rho = 1.0
-    v = np.eye(n, dtype=complex)
-    z = v.copy()
-    dual = np.zeros_like(v)
-    s = np.zeros(k)
+    z = np.eye(n, dtype=complex)
+    dual = np.zeros_like(z)
     t = np.zeros(k)
     dual_s = np.zeros(k)
 
@@ -163,15 +141,10 @@ def solve_sdp(
         # affine step: project the penalty-optimal point onto the constraints
         v0 = z - dual + c_mat / rho
         s0 = t - dual_s
-        resid = np.empty(m_tot)
-        resid[:n] = np.real(np.diagonal(v0)) - 1.0
-        for a in range(k):
-            resid[n + a] = np.real(np.trace(v0 @ psis[a])) - s0[a] - floors[a]
+        resid = np.concatenate((np.real(np.diagonal(v0)) - 1.0, _quad(u, v0) - s0 - floors))
         w = np.linalg.solve(gram_cho.conj().T, np.linalg.solve(gram_cho, resid))
-        v = v0.copy()
+        v = v0 - (u.T * w[n:]) @ np.conj(u)
         v[np.arange(n), np.arange(n)] -= w[:n]
-        for a in range(k):
-            v -= w[n + a] * psis[a]
         s = s0 + w[n:]
 
         z_prev, t_prev = z, t
@@ -209,16 +182,14 @@ def solve_sdp(
         raise NonConvergence(it, rp_norm, rd_norm)
 
     # exact unit diagonal, PSD preserved by the congruence
-    d = np.real(np.diagonal(z)).copy()
-    d[d <= 0] = 1.0
-    scale = 1.0 / np.sqrt(d)
+    d = np.real(np.diagonal(z))
+    scale = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
     z = z * np.outer(scale, scale)
 
-    achieved = np.array([np.real(np.trace(z @ p)) for p in problem.psi_targets])
     return SdrSolution(
         v_matrix=z,
-        relaxed_objective=float(np.real(np.trace(z @ problem.psi_ue))),
-        constraint_residuals=problem.desired_gains - achieved,
+        relaxed_objective=float(_quad(problem.q_ue, z)),
+        constraint_residuals=problem.desired_gains - _quad(problem.q_targets, z),
         diag_residual=float(np.max(np.abs(np.real(np.diagonal(z)) - 1.0))),
         iterations=it,
     )
@@ -241,29 +212,23 @@ def gaussian_randomization(
     """
     if trials < 1:
         raise ConfigError("gaussian_randomization: trials must be >= 1")
-    n = problem.n_elements
     w, q = np.linalg.eigh(0.5 * (v_matrix + v_matrix.conj().T))
     chol_like = q * np.sqrt(np.maximum(w, 0.0))
 
+    # trial t draws its real then its imaginary parts, as one draw per trial would
+    draws = rng.standard_normal((trials, 2, problem.n_elements))
+    noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    candidates = np.exp(1j * np.angle(noise @ chol_like.T))
+    gains = problem.gains_of(candidates)
     floors = np.asarray(problem.desired_gains, dtype=float)
-    best_feasible: tuple[float, np.ndarray] | None = None
-    best_ratio: tuple[float, np.ndarray] | None = None
-    for _ in range(trials):
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-        xi = chol_like @ noise
-        v = np.exp(1j * np.angle(xi))
-        gains = problem.gains_of(v)
-        snr = problem.snr_of(v)
+    feasible = np.all(gains >= (1.0 - slack) * floors, axis=1)
+    if np.any(feasible):
+        # argmax keeps the first of equal scores, as a strict "better" test would
+        best = np.argmax(np.where(feasible, problem.snr_of(candidates), -np.inf))
+    else:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(floors > 0, gains / floors, np.inf)
-        worst = float(np.min(ratios)) if len(ratios) else np.inf
-        if np.all(gains >= (1.0 - slack) * floors):
-            if best_feasible is None or snr > best_feasible[0]:
-                best_feasible = (snr, v)
-        if best_ratio is None or worst > best_ratio[0]:
-            best_ratio = (worst, v)
-
-    chosen = best_feasible[1] if best_feasible is not None else best_ratio[1]
-    phase = RisPhase.from_vector(chosen)
+        best = np.argmax(np.min(ratios, axis=1))
+    phase = RisPhase.from_vector(candidates[best])
     metrics = Metrics.from_linear(problem.snr_of(phase.v), problem.gains_of(phase.v))
     return phase, metrics

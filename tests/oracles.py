@@ -1,0 +1,51 @@
+"""Test oracles: the matched beamformer and both metrics in their general
+pre-MRT form, which the factored forms in ``ris_isac.beamforming`` must match."""
+
+import numpy as np
+
+from ris_isac.errors import DegenerateGeometry, ShapeError
+
+
+def mrt_beamformer(g_bs: np.ndarray, power_w: float) -> np.ndarray:
+    """Matched-filter beamformer scaled to the full power budget."""
+    norm = np.linalg.norm(g_bs)
+    if norm == 0.0:
+        raise DegenerateGeometry("mrt_beamformer: zero steering vector")
+    return np.sqrt(power_w) * np.asarray(g_bs, dtype=complex) / norm
+
+
+def comm_snr_general(
+    w: np.ndarray,
+    beta_g: float,
+    g_bs: np.ndarray,
+    g_ris: np.ndarray,
+    h_ue: np.ndarray,
+    v: np.ndarray,
+    noise_power_w: float,
+) -> float:
+    """SNR in the unfactored form, from the rank-one BS-RIS channel factors."""
+    if len(w) != len(g_bs):
+        raise ShapeError("comm_snr_general: w/g_bs length mismatch")
+    if not (len(g_ris) == len(h_ue) == len(v)):
+        raise ShapeError("comm_snr_general: RIS-side length mismatch")
+    # received scalar: h^H diag(v^H) G w with G = sqrt(beta_g) g_ris g_bs^H
+    ris_sum = np.sum(np.conj(h_ue) * np.conj(v) * g_ris)  # h^H diag(v^H) g_ris
+    amp = np.sqrt(beta_g) * ris_sum * np.vdot(g_bs, w)
+    return float(np.abs(amp) ** 2 / noise_power_w)
+
+
+def beampattern_gain_general(
+    w: np.ndarray,
+    beta_g: float,
+    g_bs: np.ndarray,
+    g_ris: np.ndarray,
+    v: np.ndarray,
+    a_target: np.ndarray,
+) -> float:
+    """Beampattern gain in the pre-MRT quadratic form; oracle for the factored one."""
+    if len(w) != len(g_bs):
+        raise ShapeError("beampattern_gain_general: w/g_bs length mismatch")
+    if not (len(g_ris) == len(v) == len(a_target)):
+        raise ShapeError("beampattern_gain_general: RIS-side length mismatch")
+    ris_sum = np.sum(np.conj(a_target) * np.conj(v) * g_ris)  # a^H diag(v^H) g_ris
+    return float(beta_g * np.abs(ris_sum) ** 2 * np.abs(np.vdot(g_bs, w)) ** 2)

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v`; each test prints
 import numpy as np
 import pytest
 
+from oracles import beampattern_gain_general, comm_snr_general, mrt_beamformer
 from ris_isac import (
     LambdaPolicy,
     SdpProblem,
@@ -18,13 +19,11 @@ from ris_isac import (
     comm_snr_mrt,
     gaussian_randomization,
     load_default_scenario,
-    mrt_beamformer,
     realize,
     solve_perturbation,
     solve_scenario,
     solve_sdp,
 )
-from ris_isac.beamforming import beampattern_gain_general, comm_snr_general
 from ris_isac.cli import main as cli_main
 from ris_isac.experiments import (
     loglog_slope,

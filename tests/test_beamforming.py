@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import beampattern_gain_general, comm_snr_general, mrt_beamformer
 from ris_isac import (
     SystemConstants,
     beampattern_gain,
     child_rng,
     comm_optimal_phase,
     comm_snr_mrt,
-    mrt_beamformer,
 )
-from ris_isac.beamforming import (
-    Metrics,
-    beampattern_gain_general,
-    comm_snr_general,
-    metrics_for,
-    to_db,
-)
+from ris_isac.beamforming import Metrics, metrics_for, to_db
 from ris_isac.errors import DegenerateGeometry, ShapeError
 
 

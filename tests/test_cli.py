@@ -47,8 +47,23 @@ class TestValidate:
             ("seed", lambda d: d.update(seed=1.5)),
             ("ris_rows", lambda d: d.update(ris_rows=2.5)),
             ("seed", lambda d: d.update(seed=True)),
+            ("alpha", lambda d: d.update(alpha="0.5")),
+            ("ue_pos", lambda d: d.update(ue_pos=[1.0])),
+            ("ue_pos", lambda d: d.update(ue_pos=[float("nan"), 0.0])),
+            ("carrier_hz", lambda d: d.update(carrier_hz=float("nan"))),
+            ("rician_kappa", lambda d: d.update(rician_kappa=float("nan"))),
+            ("reference_loss_db", lambda d: d.update(reference_loss_db=float("nan"))),
+            ("bs_ris_exponent", lambda d: d.update(bs_ris_exponent=float("nan"))),
+            ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=float("inf"))),
+            ("noise_power_dbm", lambda d: d.update(noise_power_dbm=float("nan"))),
+            ("targets[1].angle_deg", lambda d: d["targets"][1].update(angle_deg=float("nan"))),
         ],
-        ids=["nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed"],
+        ids=[
+            "nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed",
+            "string_alpha", "short_ue_pos", "nan_ue_pos", "nan_carrier", "nan_kappa",
+            "nan_reference_loss", "nan_bs_ris_exponent", "inf_power", "nan_noise",
+            "nan_target_angle",
+        ],
     )
     def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):
         d = scenario.to_dict()
