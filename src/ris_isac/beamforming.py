@@ -77,26 +77,26 @@ def to_db(x: float) -> float:
 
 def comm_snr_mrt(
     v: np.ndarray, h_ue: np.ndarray, g_ris: np.ndarray, consts: SystemConstants
-) -> float:
-    """SNR after plugging in the matched beamformer (factored closed form)."""
-    if not (len(v) == len(h_ue) == len(g_ris)):
+) -> np.ndarray:
+    """SNR after plugging in the matched beamformer, for phases (N,) or a batch (..., N)."""
+    if not (np.shape(v)[-1] == len(h_ue) == len(g_ris)):
         raise ShapeError("comm_snr_mrt: length mismatch")
-    s = np.sum(np.conj(h_ue) * np.conj(v) * g_ris)  # h^H diag(v^H) g_ris
-    return float(consts.gain_prefactor / consts.noise_power_w * np.abs(s) ** 2)
+    s = np.sum(np.conj(h_ue) * np.conj(v) * g_ris, axis=-1)  # h^H diag(v^H) g_ris
+    return consts.gain_prefactor / consts.noise_power_w * np.abs(s) ** 2
 
 
 def beampattern_gain(
     v: np.ndarray, a_target: np.ndarray, g_ris: np.ndarray, consts: SystemConstants
-) -> float:
-    """Beampattern gain toward one direction (factored post-MRT form)."""
-    if not (len(v) == len(a_target) == len(g_ris)):
+) -> np.ndarray:
+    """Beampattern gain (factored post-MRT form); v and a_target broadcast over leading axes."""
+    if not (np.shape(v)[-1] == np.shape(a_target)[-1] == len(g_ris)):
         raise ShapeError("beampattern_gain: length mismatch")
-    s = np.sum(np.conj(a_target) * np.conj(v) * g_ris)
-    return float(consts.gain_prefactor * np.abs(s) ** 2)
+    s = np.sum(np.conj(a_target) * np.conj(v) * g_ris, axis=-1)
+    return consts.gain_prefactor * np.abs(s) ** 2
 
 
-def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) -> Metrics:
-    """Evaluate both metrics for a given RIS phase vector."""
+def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) -> list[Metrics]:
+    """Evaluate both metrics for each row of a batch of RIS phase vectors (C, N)."""
     snr = comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts)
-    gains = [beampattern_gain(v, a, channels.g_ris, consts) for a in channels.a_targets]
-    return Metrics.from_linear(snr, gains)
+    gains = beampattern_gain(v[:, None, :], np.asarray(channels.a_targets), channels.g_ris, consts)
+    return [Metrics.from_linear(s, g) for s, g in zip(snr, gains)]

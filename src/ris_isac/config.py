@@ -22,6 +22,19 @@ def _finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _from_db(db: float) -> float:
+    """10^(db/10), or inf where that overflows a float."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _as_tuple(value):
+    """A JSON list as a tuple; anything else is left for validate() to reject."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class LambdaPolicy:
     """Regularization policy: adaptive trade-off schedule or a fixed fraction
@@ -108,11 +121,11 @@ class ScenarioConfig:
 
     @property
     def transmit_power_w(self) -> float:
-        return 10.0 ** ((self.transmit_power_dbm - 30.0) / 10.0)
+        return _from_db(self.transmit_power_dbm - 30.0)
 
     @property
     def noise_power_w(self) -> float:
-        return 10.0 ** ((self.noise_power_dbm - 30.0) / 10.0)
+        return _from_db(self.noise_power_dbm - 30.0)
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -133,8 +146,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: must be an integer, got {v!r}")
             if kind == "float" and not _finite_real(v):
                 raise ConfigError(f"{name}: must be a finite number, got {v!r}")
-            if kind == "tuple[float, float]" and not (len(v) == 2 and all(map(_finite_real, v))):
+            pair = isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite_real, v))
+            if kind == "tuple[float, float]" and not pair:
                 raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
+        for name, linear in (
+            ("transmit_power_dbm", self.transmit_power_w),
+            ("noise_power_dbm", self.noise_power_w),
+            ("reference_loss_db", _from_db(-self.reference_loss_db)),
+        ):
+            if not 0.0 < linear < math.inf:
+                raise ConfigError(f"{name}: out of range, linear value {linear!r}")
         if self.bs_antennas < 1:
             raise ConfigError("bs_antennas: must be >= 1")
         if self.ris_rows < 1 or self.ris_cols < 1:
@@ -205,7 +226,7 @@ class ScenarioConfig:
                     TargetSpec(
                         weight=float(t["weight"]),
                         angle_deg=float(t["angle_deg"]) if "angle_deg" in t else None,
-                        position=tuple(t["position"]) if "position" in t else None,
+                        position=_as_tuple(t["position"]) if "position" in t else None,
                     )
                 )
             except (TypeError, ValueError) as exc:
@@ -228,9 +249,7 @@ class ScenarioConfig:
             cfg = cls(
                 targets=tuple(targets),
                 lambda_policy=policy,
-                bs_pos=tuple(data.pop("bs_pos")),
-                ris_pos=tuple(data.pop("ris_pos")),
-                ue_pos=tuple(data.pop("ue_pos")),
+                **{k: _as_tuple(data.pop(k)) for k in ("bs_pos", "ris_pos", "ue_pos")},
                 **data,
             )
         except TypeError as exc:

@@ -113,14 +113,14 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     """Evaluate every cell on every seed; returns results[cell][seed].
 
     Seeds are the outer loop: each seed's realization is drawn and
-    factorized once, serves all cells, and is dropped before the next seed,
-    so one realization is alive at a time.
+    factorized once, goes with all cells to evaluate(real, cells), which
+    returns one result per cell, and is dropped before the next seed.
     """
     results = [[None] * len(seeds) for _ in cells]
     for j, seed in enumerate(seeds):
         real = realize(scenario.replace(seed=seed), child_rng(seed, _CHANNEL_STREAM))
-        for i, cell in enumerate(cells):
-            results[i][j] = evaluate(real, cell)
+        for i, result in enumerate(evaluate(real, cells)):
+            results[i][j] = result
     return results
 
 
@@ -130,7 +130,7 @@ def _method_phase(real, method):
     if method == "comm_only":
         return real.v_comm
     if method == "proposed":
-        return design(real, s.alpha, s.weights, s.lambda_policy).v_final
+        return design(real, [(s.alpha, s.weights, s.lambda_policy)])[0].v_final
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, real.consts, s.alpha, s.weights)
     solution = solve_sdp(problem)
@@ -150,7 +150,7 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(lin)
 
-    results = _run_cells(scenario, seeds, methods, pattern)
+    results = _run_cells(scenario, seeds, methods, lambda real, ms: [pattern(real, m) for m in ms])
     # a running total in seed order; np.sum's pairwise order would move the last bits
     return [sum(per_seed, np.zeros(len(steering))) / len(seeds) for per_seed in results]
 
@@ -208,23 +208,23 @@ def sweep_alpha(
 ) -> SweepResult:
     """Proposed-method trade-off sweep over alpha for several ridge policies."""
     seeds = list(seeds)
-    k = len(scenario.targets)
-    gain_cols = [f"gain_t{i + 1}_db" for i in range(k)]
+    gain_cols = [f"gain_t{i + 1}_db" for i in range(len(scenario.targets))]
     policies = [LambdaPolicy.parse(p) if isinstance(p, str) else p for p in lambda_policies]
-    cells = [(float(alpha), policy) for alpha in alphas for policy in policies]
+    cells = [(float(alpha), scenario.weights, policy) for alpha in alphas for policy in policies]
 
-    def row(real, cell):
-        alpha, policy = cell
-        metrics = design(real, alpha, scenario.weights, policy).metrics
-        return {
-            "alpha": alpha,
-            "lambda_policy": str(policy),
-            "seed": real.scenario.seed,
-            "gamma_db": metrics.snr_db,
-            **{col: g_db for col, (_, g_db) in zip(gain_cols, metrics.gains)},
-        }
+    def rows_of(real, cells):
+        return [
+            {
+                "alpha": alpha,
+                "lambda_policy": str(policy),
+                "seed": real.scenario.seed,
+                "gamma_db": o.metrics.snr_db,
+                **{col: g_db for col, (_, g_db) in zip(gain_cols, o.metrics.gains)},
+            }
+            for (alpha, _, policy), o in zip(cells, design(real, cells))
+        ]
 
-    rows = [r for per_seed in _run_cells(scenario, seeds, cells, row) for r in per_seed]
+    rows = [r for per_seed in _run_cells(scenario, seeds, cells, rows_of) for r in per_seed]
     return SweepResult(
         axis_name="alpha",
         axis_values=tuple(float(a) for a in alphas),
@@ -243,18 +243,21 @@ def sweep_weight_ratio(scenario: ScenarioConfig, ratios, seeds) -> SweepResult:
     if any(r <= 0 for r in ratios):
         raise ConfigError("sweep_weight_ratio: ratios must be positive")
 
-    def row(real, ratio):
-        weights = (ratio / (1.0 + ratio), 1.0 / (1.0 + ratio))
-        metrics = design(real, scenario.alpha, weights, scenario.lambda_policy).metrics
-        return {
-            "ratio": ratio,
-            "seed": real.scenario.seed,
-            "gamma_db": metrics.snr_db,
-            "gain_t1_db": metrics.gains[0][1],
-            "gain_t2_db": metrics.gains[1][1],
-        }
+    cells = [(scenario.alpha, (r / (1 + r), 1 / (1 + r)), scenario.lambda_policy) for r in ratios]
 
-    rows = [r for per_seed in _run_cells(scenario, seeds, ratios, row) for r in per_seed]
+    def rows_of(real, cells):
+        return [
+            {
+                "ratio": ratio,
+                "seed": real.scenario.seed,
+                "gamma_db": o.metrics.snr_db,
+                "gain_t1_db": o.metrics.gains[0][1],
+                "gain_t2_db": o.metrics.gains[1][1],
+            }
+            for ratio, o in zip(ratios, design(real, cells))
+        ]
+
+    rows = [r for per_seed in _run_cells(scenario, seeds, cells, rows_of) for r in per_seed]
     return SweepResult(
         axis_name="ratio",
         axis_values=tuple(float(r) for r in ratios),
@@ -351,6 +354,15 @@ def run_complexity_probe(
 
         scenario = load_default_scenario()
 
+    def median_seconds(fn) -> float:
+        fn()  # warm up
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return float(np.median(times))
+
     rows = []
     for n in n_list:
         cell = _probe_scenario(scenario, int(n), k_targets)
@@ -359,31 +371,16 @@ def run_complexity_probe(
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():
-            system = build_system(channels.h_ue, channels.a_targets, eta_bar, consts)
+            system = build_system(channels.h_ue, channels.a_targets, consts)
             lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
-            return solve_perturbation(system, system.scale**2 * lam)
+            return solve_perturbation(system, [eta_bar], [system.scale**2 * lam])
 
-        proposed_once()  # warm up
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            proposed_once()
-            times.append(time.perf_counter() - t0)
-        rows.append(
-            {"n_elements": int(n), "method": "proposed", "median_seconds": float(np.median(times))}
-        )
-
+        seconds = median_seconds(proposed_once)
+        rows.append({"n_elements": int(n), "method": "proposed", "median_seconds": seconds})
         if n <= sdr_cap:
             problem = SdpProblem.from_channels(channels, consts, cell.alpha, cell.weights)
-            solve_sdp(problem)  # warm up
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                solve_sdp(problem)
-                times.append(time.perf_counter() - t0)
-            rows.append(
-                {"n_elements": int(n), "method": "sdr", "median_seconds": float(np.median(times))}
-            )
+            seconds = median_seconds(lambda: solve_sdp(problem))
+            rows.append({"n_elements": int(n), "method": "sdr", "median_seconds": seconds})
 
     return SweepResult(
         axis_name="n_elements",

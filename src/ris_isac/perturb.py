@@ -18,7 +18,7 @@ exists only inside the solver.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ def wrap_phase(phi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RisPhase:
-    """Unit-modulus RIS configuration, stored as wrapped phases."""
+    """Unit-modulus RIS configuration (N,), or a batch of them (C, N), stored as wrapped phases."""
 
     phi: np.ndarray
 
@@ -69,28 +69,34 @@ def comm_optimal_phase(h_ue: np.ndarray, g_ris: np.ndarray) -> RisPhase:
     return RisPhase(np.angle(np.conj(h_ue) * g_ris))
 
 
-def eta_targets(alpha: float, weights, n_elements: int) -> np.ndarray:
-    """Designed beam-sum magnitudes: alpha * weight_k * N."""
+def eta_targets(alpha, weights, n_elements: int) -> np.ndarray:
+    """Designed beam-sum magnitudes alpha * weight_k * N: (K,) for one design,
+    or (C, K) for alphas (C, 1) and weights (C, K)."""
     w = np.asarray(weights, dtype=float)
-    if abs(float(np.sum(w)) - 1.0) > 1e-12 or np.any(w < 0):
+    if np.any(np.abs(np.sum(w, axis=-1) - 1.0) > 1e-12) or np.any(w < 0):
         raise ConfigError("eta_targets: weights must be nonnegative and sum to 1")
     return alpha * w * n_elements
 
 
+def _stack(alignment: np.ndarray, scale: float) -> np.ndarray:
+    """scale * [-Im(alignment); Re(alignment)]: the real stacking of j * alignment."""
+    return scale * np.vstack([-alignment.imag, alignment.real])
+
+
 @dataclass(frozen=True)
 class PerturbationSystem:
-    """Linearized target system, its real stacking, and the SVD.
+    """Linearized target system of one fading realization and its SVD.
 
-    Only b_stacked depends on eta_bar, so one factorization serves any targets.
+    Nothing here depends on the beam-sum targets eta_bar, so one
+    factorization serves any number of designs; the methods that need
+    targets take them, one row (K,) per design, as a (C, K) batch.
     """
 
     alignment: np.ndarray  # K x N unit-modulus exp(j*(ang(h)-ang(a_k)))
-    a_stacked: np.ndarray  # 2K x N real, includes the sqrt(P*M*beta_g) scale
     scale: float  # sqrt(P*M*beta_g)
     svd_u: np.ndarray  # 2K x 2K
     svd_s: np.ndarray  # min(2K, N) singular values, descending
     svd_vt: np.ndarray  # N x N
-    eta_bar: np.ndarray  # K
 
     @property
     def n_targets(self) -> int:
@@ -101,30 +107,27 @@ class PerturbationSystem:
         return self.alignment.shape[1]
 
     @property
-    def b_stacked(self) -> np.ndarray:
-        """2K real right-hand side: the scaled miss of the unperturbed beam sums."""
-        b = self.alignment.sum(axis=1) - self.eta_bar
-        return self.scale * np.concatenate([b.real, b.imag])
+    def a_stacked(self) -> np.ndarray:
+        """2K x N real stack, the Jacobian of the beam-sum miss (recomputed on each access)."""
+        return _stack(self.alignment, self.scale)
 
-    def with_eta_bar(self, eta_bar) -> "PerturbationSystem":
-        """The same factorization aimed at other beam-sum targets, with the
-        stacking self-check run for them."""
-        eta_bar = np.asarray(eta_bar, dtype=float)
-        if len(eta_bar) != self.n_targets:
-            raise ShapeError("with_eta_bar: eta_bar length mismatch")
-        system = replace(self, eta_bar=eta_bar)
-        system._check_stacking()
-        return system
+    def b_stacked(self, eta_bar) -> np.ndarray:
+        """Real right-hand sides (..., 2K): the scaled miss of the unperturbed beam sums."""
+        if np.shape(eta_bar)[-1:] != (self.n_targets,):
+            raise ShapeError("b_stacked: eta_bar length mismatch")
+        b = self.alignment.sum(axis=1) - eta_bar
+        return self.scale * np.concatenate([b.real, b.imag], axis=-1)
 
-    def _check_stacking(self) -> None:
+    def check_stacking(self, eta_bar) -> None:
         """Verify on random perturbations that the stacked real objective
-        reproduces the weighted complex objective."""
+        reproduces the weighted complex objective, for every row of eta_bar (C, K)."""
+        eta_bar = np.asarray(eta_bar, dtype=float)
         draws = np.random.default_rng(0).standard_normal((_BUILD_CHECK_DRAWS, self.n_elements))
-        lhs = np.sum((draws @ self.a_stacked.T - self.b_stacked) ** 2, axis=1)
-        eta_lin = self.alignment.sum(axis=1) - 1j * (draws @ self.alignment.T)
-        rhs = self.scale**2 * np.sum(np.abs(eta_lin - self.eta_bar) ** 2, axis=1)
-        denom = np.maximum(np.abs(rhs), 1e-30)
-        if np.any(np.abs(lhs - rhs) / denom > _BUILD_CHECK_TOL):
+        b = self.b_stacked(eta_bar)[..., None, :]
+        lhs = np.sum((draws @ self.a_stacked.T - b) ** 2, axis=-1)
+        diff = self.eta_linearized_all(draws) - eta_bar[..., None, :]
+        rhs = self.scale**2 * np.sum(np.abs(diff) ** 2, axis=-1)
+        if np.any(np.abs(lhs - rhs) > _BUILD_CHECK_TOL * np.maximum(np.abs(rhs), 1e-30)):
             raise NumericalError("stacked objective does not match the complex objective")
 
     @property
@@ -137,41 +140,36 @@ class PerturbationSystem:
         return float(self.svd_s[0] / self.scale)
 
     def eta_exact_all(self, delta_phi: np.ndarray) -> np.ndarray:
-        """Exact beam sums for all targets at once."""
-        return (self.alignment * np.exp(-1j * np.asarray(delta_phi, dtype=float))).sum(axis=1)
+        """Exact beam sums (..., K) of perturbations (..., N)."""
+        rotation = np.exp(-1j * np.asarray(delta_phi, dtype=float))[..., None, :]
+        return (self.alignment * rotation).sum(axis=-1)
 
     def eta_linearized_all(self, delta_phi: np.ndarray) -> np.ndarray:
-        c = self.alignment.sum(axis=1)
-        return c - 1j * (self.alignment @ np.asarray(delta_phi, dtype=float))
-
-    def objective_exact(self, delta_phi: np.ndarray) -> float:
-        """Weighted squared miss of the exact beam sums from their targets."""
-        diff = self.eta_exact_all(delta_phi) - self.eta_bar
-        return float(self.scale**2 * np.sum(np.abs(diff) ** 2))
+        """First-order beam sums (..., K) of perturbations (..., N)."""
+        linear_part = np.asarray(delta_phi, dtype=float) @ self.alignment.T
+        return self.alignment.sum(axis=1) - 1j * linear_part
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Output of one Tikhonov solve."""
+    """Output of the Tikhonov solves of C designs; every field has a leading
+    cell axis, and report[i] is design i's report with that axis dropped."""
 
     delta_phi: np.ndarray
-    objective_value: float  # exact-beam-sum objective at the solution
-    residual_norm: float  # linearized stacked residual
-    lambda_used: float  # ridge applied to the scaled stacked system
-    max_abs_perturbation: float
-    linearization_error_bound: float  # ||delta_phi||^2 / 2, in beam-sum units
+    objective_value: np.ndarray  # exact-beam-sum objective at the solution
+    lambda_used: np.ndarray  # ridge applied to the scaled stacked system
+    max_abs_perturbation: np.ndarray
+    linearization_error_bound: np.ndarray  # ||delta_phi||^2 / 2, in beam-sum units
+
+    def __getitem__(self, i) -> "SolveReport":
+        return SolveReport(*(value[i] for value in vars(self).values()))
 
 
-def build_system(
-    h_ue: np.ndarray,
-    a_targets,
-    eta_bar: np.ndarray,
-    consts: SystemConstants,
-) -> PerturbationSystem:
-    """Assemble the linearized system and its SVD.
+def build_system(h_ue: np.ndarray, a_targets, consts: SystemConstants) -> PerturbationSystem:
+    """Assemble the linearized system of one realization and its SVD.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
-    weighted complex objective; with_eta_bar() verifies this for the
+    weighted complex objective; check_stacking() verifies this for the
     targets a design actually solves for.
     """
     a_targets = list(a_targets)
@@ -179,9 +177,6 @@ def build_system(
     if k < 1:
         raise ShapeError("build_system: need at least one target")
     n = len(h_ue)
-    eta_bar = np.asarray(eta_bar, dtype=float)
-    if len(eta_bar) != k:
-        raise ShapeError("build_system: eta_bar length mismatch")
     if any(len(a) != n for a in a_targets):
         raise ShapeError("build_system: target steering length mismatch")
     if k > n:
@@ -191,73 +186,65 @@ def build_system(
         )
 
     align = np.exp(1j * (np.angle(h_ue) - np.angle(np.stack(a_targets))))
-    jacobian = 1j * align  # d/d(delta_phi) of -(eta - eta_bar)
     scale = float(np.sqrt(consts.gain_prefactor))
-    a_stacked = scale * np.vstack([jacobian.real, jacobian.imag])
-
     try:
-        u, s, vt = np.linalg.svd(a_stacked, full_matrices=True)
+        u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-
-    return PerturbationSystem(
-        alignment=align,
-        a_stacked=a_stacked,
-        scale=scale,
-        svd_u=u,
-        svd_s=s,
-        svd_vt=vt,
-        eta_bar=eta_bar,
-    )
+    return PerturbationSystem(alignment=align, scale=scale, svd_u=u, svd_s=s, svd_vt=vt)
 
 
-def solve_perturbation(system: PerturbationSystem, lam: float) -> SolveReport:
-    """Tikhonov solve through the stored SVD.
+def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
+    """Tikhonov solves through the stored SVD, one per row of eta_bar (C, K),
+    each with its own ridge lam (C,).
 
-    For lam=0 singular values below PINV_RCOND * sigma_max are truncated
-    (pseudo-inverse).  The reported objective uses the exact beam sums, not
-    the linearized surrogate.
+    For a zero ridge, singular values below PINV_RCOND * sigma_max are
+    truncated (pseudo-inverse).  The reported objective uses the exact beam
+    sums, not the linearized surrogate.
     """
-    if lam < 0:
+    eta_bar, lam = np.asarray(eta_bar, dtype=float), np.asarray(lam, dtype=float)
+    b = system.b_stacked(eta_bar)
+    if b.ndim != 2 or lam.shape != b.shape[:1]:
+        raise ShapeError("solve_perturbation: need eta_bar (C, K) and lam (C,)")
+    if (lam < 0).any():
         raise ValueError("lambda must be nonnegative")
     s = system.svd_s
-    if lam == 0.0:
-        cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
-        with np.errstate(divide="ignore"):
-            filt = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    else:
-        filt = s / (s**2 + lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        filt = s / (s**2 + lam[:, None])
+        if (lam == 0.0).any():
+            cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
+            filt[lam == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
 
-    b_stacked = system.b_stacked
-    coeffs = filt * (system.svd_u.T @ b_stacked)[: len(s)]
-    delta_phi = system.svd_vt[: len(s)].T @ coeffs
+    # a stack of C row-vector products, each rounded as it would be alone: a
+    # (C, 2K) @ (2K, N) product rounds differently for different C
+    coeffs = filt * (b[:, None, :] @ system.svd_u)[:, 0, : len(s)]
+    delta_phi = (coeffs[:, None, :] @ system.svd_vt[: len(s)])[:, 0]
 
-    residual = float(np.linalg.norm(system.a_stacked @ delta_phi - b_stacked))
-    objective = system.objective_exact(delta_phi)
-
-    bound = float(np.sum(delta_phi**2) / 2.0)
-    gap = np.abs(system.eta_exact_all(delta_phi) - system.eta_linearized_all(delta_phi))
-    if np.any(gap > bound + 1e-9):
+    eta = system.eta_exact_all(delta_phi)
+    objective = system.scale**2 * (np.abs(eta - eta_bar) ** 2).sum(axis=-1)
+    bound = (delta_phi**2).sum(axis=-1) / 2.0
+    gap = np.abs(eta - system.eta_linearized_all(delta_phi))
+    if (gap > bound[:, None] + 1e-9).any():
         raise NumericalError("linearization error exceeded its analytic bound")
 
     return SolveReport(
         delta_phi=delta_phi,
         objective_value=objective,
-        residual_norm=residual,
-        lambda_used=float(lam),
-        max_abs_perturbation=float(np.max(np.abs(delta_phi))) if len(delta_phi) else 0.0,
+        lambda_used=lam,
+        max_abs_perturbation=np.abs(delta_phi).max(axis=-1, initial=0.0),
         linearization_error_bound=bound,
     )
 
 
 def compose_phase(v_star: RisPhase, delta_phi: np.ndarray) -> RisPhase:
-    """Apply a perturbation on top of the communication-optimal phases."""
-    if len(v_star) != len(delta_phi):
+    """Apply a perturbation (N,), or each row of a batch (C, N), on top of
+    the communication-optimal phases."""
+    if len(v_star) != np.shape(delta_phi)[-1]:
         raise ShapeError("compose_phase: length mismatch")
     return RisPhase(v_star.phi + np.asarray(delta_phi, dtype=float))
 
 
-def gain_upper_bound(alpha: float, weights, consts: SystemConstants, n_elements: int) -> np.ndarray:
-    """Per-target ceiling on the beampattern gain, in linear units."""
+def gain_upper_bound(alpha, weights, consts: SystemConstants, n_elements: int) -> np.ndarray:
+    """Per-target ceiling on the beampattern gain, in linear units; batches as eta_targets."""
     eta = eta_targets(alpha, np.atleast_1d(weights), n_elements)
     return consts.gain_prefactor * np.abs(eta) ** 2

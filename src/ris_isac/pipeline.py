@@ -1,8 +1,8 @@
 """End-to-end solves: scenario -> channels -> phase design -> metrics.
 
 realize() draws one fading realization and factorizes it; design() aims
-that factorization at alpha * w * N under a ridge policy and evaluates the
-result, so any number of designs can share one realization.
+that factorization at alpha * w * N for a batch of (alpha, weights, policy)
+cells and evaluates them together in one pass of array operations.
 
 The ridge passed to the SVD solver always refers to the scaled stacked
 system.  The lambda policies, however, are defined on the power-normalized
@@ -20,7 +20,7 @@ import numpy as np
 
 from .beamforming import Metrics, SystemConstants, metrics_for
 from .channel import ChannelSet, Rng, build_channels, child_rng
-from .config import LambdaPolicy, ScenarioConfig
+from .config import ScenarioConfig
 from .perturb import (
     PerturbationSystem,
     RisPhase,
@@ -43,7 +43,7 @@ class Realization:
     consts: SystemConstants
     v_comm: RisPhase
     metrics_comm_only: Metrics
-    system: PerturbationSystem  # aimed at the scenario's own targets; design() re-aims it
+    system: PerturbationSystem
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,14 @@ class SolveOutcome:
     """Everything produced by one proposed-method design."""
 
     realization: Realization
-    system: PerturbationSystem  # aimed at this design's targets
     report: SolveReport
-    v_final: RisPhase
     metrics: Metrics
     lambda_normalized: float
     gain_bounds: np.ndarray
+
+    @property
+    def v_final(self) -> RisPhase:
+        return compose_phase(self.realization.v_comm, self.report.delta_phi)
 
 
 def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
@@ -65,43 +67,41 @@ def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
         rng = child_rng(scenario.seed, 0)
     channels = build_channels(scenario, rng)
     consts = SystemConstants.from_scenario(scenario, channels)
-    targets = eta_targets(scenario.alpha, scenario.weights, scenario.n_elements)
-    system = build_system(channels.h_ue, channels.a_targets, targets, consts)
     v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
     return Realization(
         scenario=scenario,
         channels=channels,
         consts=consts,
         v_comm=v_comm,
-        metrics_comm_only=metrics_for(v_comm.v, channels, consts),
-        system=system,
+        metrics_comm_only=metrics_for(v_comm.v[None], channels, consts)[0],
+        system=build_system(channels.h_ue, channels.a_targets, consts),
     )
 
 
-def design(
-    realization: Realization, alpha: float, weights, policy: LambdaPolicy
-) -> SolveOutcome:
-    """Closed-form design for one (alpha, weights, policy) on a realization."""
-    n = realization.scenario.n_elements
-    system = realization.system.with_eta_bar(eta_targets(alpha, weights, n))
-    lam_norm = policy.normalized(alpha, system.sigma_max_normalized)
-    report = solve_perturbation(system, system.scale**2 * lam_norm)
+def design(realization: Realization, cells) -> list[SolveOutcome]:
+    """Closed-form designs for the cells (alpha, weights, policy) of one
+    realization, solved as one batch: one stacking check, one filtered
+    solve with its Taylor-bound check, and one metric evaluation for all."""
+    if not cells:
+        return []
+    system, consts = realization.system, realization.consts
+    alphas, weights, policies = zip(*cells)
+    alpha = np.array(alphas, dtype=float)[:, None]
+    eta_bar = eta_targets(alpha, weights, system.n_elements)
+    lam_norm = [p.normalized(a, system.sigma_max_normalized) for a, p in zip(alphas, policies)]
+
+    system.check_stacking(eta_bar)
+    report = solve_perturbation(system, eta_bar, system.scale**2 * np.array(lam_norm))
     v_final = compose_phase(realization.v_comm, report.delta_phi)
-    channels, consts = realization.channels, realization.consts
-
-    return SolveOutcome(
-        realization=realization,
-        system=system,
-        report=report,
-        v_final=v_final,
-        metrics=metrics_for(v_final.v, channels, consts),
-        lambda_normalized=lam_norm,
-        gain_bounds=gain_upper_bound(alpha, weights, consts, n),
-    )
+    metrics = metrics_for(v_final.v, realization.channels, consts)
+    bounds = gain_upper_bound(alpha, weights, consts, system.n_elements)
+    return [
+        SolveOutcome(realization, report[i], metrics[i], lam_norm[i], bounds[i])
+        for i in range(len(cells))
+    ]
 
 
 def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:
     """Run the full closed-form design for one fading realization."""
-    return design(
-        realize(scenario, rng), scenario.alpha, scenario.weights, scenario.lambda_policy
-    )
+    cell = (scenario.alpha, scenario.weights, scenario.lambda_policy)
+    return design(realize(scenario, rng), [cell])[0]

@@ -127,6 +127,8 @@ def solve_sdp(
         gram_cho = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"constraint Gram factorization failed: {exc}") from exc
+    cho_inv = np.linalg.inv(gram_cho)  # the Gram never changes: invert it once
+    gram_inv = cho_inv.T @ cho_inv
 
     rho = 1.0
     z = np.eye(n, dtype=complex)
@@ -142,7 +144,7 @@ def solve_sdp(
         v0 = z - dual + c_mat / rho
         s0 = t - dual_s
         resid = np.concatenate((np.real(np.diagonal(v0)) - 1.0, _quad(u, v0) - s0 - floors))
-        w = np.linalg.solve(gram_cho.conj().T, np.linalg.solve(gram_cho, resid))
+        w = gram_inv @ resid
         v = v0 - (u.T * w[n:]) @ np.conj(u)
         v[np.arange(n), np.arange(n)] -= w[:n]
         s = s0 + w[n:]

@@ -139,9 +139,9 @@ def test_criterion_03_stacking_equivalence():
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
         eta_bar = rng.uniform(0.0, n, k)
-        sys_ = build_system(h, a_targets, eta_bar, consts)
+        sys_ = build_system(h, a_targets, consts)
         dphi = rng.standard_normal(n)
-        lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked) ** 2
+        lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked(eta_bar)) ** 2
         rhs = sys_.scale**2 * np.sum(np.abs(sys_.eta_linearized_all(dphi) - eta_bar) ** 2)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
         if worst > 1e-8:
@@ -159,11 +159,12 @@ def test_criterion_04_solver_matches_oracle():
         consts = SystemConstants(1.0, 1e-11, 1e-6, 11)
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
-        sys_ = build_system(h, a_targets, rng.uniform(0, n, k), consts)
+        eta_bar = rng.uniform(0, n, k)
+        sys_ = build_system(h, a_targets, consts)
         for frac in (1e-3, 1.0, 10.0):
             lam = frac * sys_.sigma_max
-            got = solve_perturbation(sys_, lam).delta_phi
-            a, b = sys_.a_stacked, sys_.b_stacked
+            got = solve_perturbation(sys_, [eta_bar], [lam])[0].delta_phi
+            a, b = sys_.a_stacked, sys_.b_stacked(eta_bar)
             oracle = np.linalg.solve(a.T @ a + lam * np.eye(n), a.T @ b)
             rel = np.linalg.norm(got - oracle) / max(np.linalg.norm(oracle), 1e-30)
             worst = max(worst, rel)
@@ -178,7 +179,8 @@ def test_criterion_05_taylor_bound(scenario):
         for seed in SEEDS[:5]:
             o = solve_scenario(scenario.replace(alpha=alpha, seed=seed))
             dphi = o.report.delta_phi
-            gap = np.abs(o.system.eta_exact_all(dphi) - o.system.eta_linearized_all(dphi))
+            system = o.realization.system
+            gap = np.abs(system.eta_exact_all(dphi) - system.eta_linearized_all(dphi))
             bound = np.sum(dphi**2) / 2.0
             worst_margin = max(worst_margin, float(np.max(gap) - bound))
             ok &= bool(np.all(gap <= bound + 1e-9))

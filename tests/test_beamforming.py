@@ -110,6 +110,6 @@ class TestOracleValues:
 
     def test_metrics_for(self, channels, consts):
         v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
-        m = metrics_for(v, channels, consts)
+        (m,) = metrics_for(v[None], channels, consts)
         assert len(m.gains) == 2
         assert m.snr_db == pytest.approx(28.20810878359081, abs=1e-9)

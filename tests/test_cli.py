@@ -57,12 +57,21 @@ class TestValidate:
             ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=float("inf"))),
             ("noise_power_dbm", lambda d: d.update(noise_power_dbm=float("nan"))),
             ("targets[1].angle_deg", lambda d: d["targets"][1].update(angle_deg=float("nan"))),
+            ("ue_pos", lambda d: d.update(ue_pos=5)),
+            (
+                "targets[0].position",
+                lambda d: d["targets"].__setitem__(0, {"weight": 0.5, "position": 5}),
+            ),
+            ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=1e6)),
+            ("noise_power_dbm", lambda d: d.update(noise_power_dbm=-1e6)),
+            ("reference_loss_db", lambda d: d.update(reference_loss_db=1e6)),
         ],
         ids=[
             "nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed",
             "string_alpha", "short_ue_pos", "nan_ue_pos", "nan_carrier", "nan_kappa",
             "nan_reference_loss", "nan_bs_ris_exponent", "inf_power", "nan_noise",
-            "nan_target_angle",
+            "nan_target_angle", "scalar_ue_pos", "scalar_target_position", "huge_power",
+            "tiny_noise", "huge_reference_loss",
         ],
     )
     def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +15,7 @@ from ris_isac import (
     solve_perturbation,
 )
 from ris_isac.errors import IllPosedWarning, NumericalError, ShapeError
-from ris_isac.perturb import RisPhase, eta_targets, wrap_phase
+from ris_isac.perturb import PerturbationSystem, RisPhase, eta_targets, wrap_phase
 
 finite_phases = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=32
@@ -30,12 +28,19 @@ def toy_consts(p=1.0, m=1, beta=1.0):
     )
 
 
-def random_system(rng, n, k, consts=None, eta_bar=None):
+def random_system(rng, n, k, consts=None):
     h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
-    if eta_bar is None:
-        eta_bar = rng.uniform(0.0, n, k)
-    return build_system(h, a_targets, eta_bar, consts or toy_consts())
+    return build_system(h, a_targets, consts or toy_consts())
+
+
+def random_problem(rng, n, k, consts=None):
+    """A random system and beam-sum targets for it, drawn in that order."""
+    return random_system(rng, n, k, consts), rng.uniform(0.0, n, k)
+
+
+def solve_one(system, eta_bar, lam):
+    return solve_perturbation(system, [eta_bar], [lam])[0]
 
 
 class TestWrapPhase:
@@ -67,7 +72,7 @@ class TestEta:
         """Beampattern gain of the composed phases equals the exact beam-sum form."""
         rng = child_rng(11)
         v_star = comm_optimal_phase(channels.h_ue, channels.g_ris)
-        sys_ = build_system(channels.h_ue, channels.a_targets, np.zeros(2), consts)
+        sys_ = build_system(channels.h_ue, channels.a_targets, consts)
         for _ in range(20):
             dphi = rng.uniform(-0.5, 0.5, 441)
             v = compose_phase(v_star, dphi)
@@ -76,7 +81,7 @@ class TestEta:
                 assert gain == pytest.approx(consts.gain_prefactor * abs(eta) ** 2, rel=1e-9)
 
     def test_linearized_matches_exact_at_zero(self, channels, consts):
-        sys_ = build_system(channels.h_ue, channels.a_targets, np.zeros(2), consts)
+        sys_ = build_system(channels.h_ue, channels.a_targets, consts)
         z = np.zeros(441)
         np.testing.assert_allclose(sys_.eta_linearized_all(z), sys_.eta_exact_all(z))
 
@@ -86,7 +91,7 @@ class TestEta:
         rng = child_rng(12)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
-        sys_ = build_system(h, [a], np.zeros(1), toy_consts())
+        sys_ = build_system(h, [a], toy_consts())
         dphi = scale * rng.standard_normal(16)
         gap = abs(sys_.eta_exact_all(dphi)[0] - sys_.eta_linearized_all(dphi)[0])
         assert gap <= np.sum(dphi**2) / 2.0 + 1e-12
@@ -108,11 +113,11 @@ class TestBuildSystem:
                 p=float(rng.uniform(0.1, 10)), m=int(rng.integers(1, 16)),
                 beta=float(rng.uniform(1e-8, 1.0)),
             )
-            sys_ = random_system(rng, n, k, consts)
+            sys_, eta_bar = random_problem(rng, n, k, consts)
             dphi = rng.standard_normal(n)
-            lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked) ** 2
+            lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked(eta_bar)) ** 2
             etas = sys_.eta_linearized_all(dphi)
-            rhs = sys_.scale**2 * np.sum(np.abs(etas - sys_.eta_bar) ** 2)
+            rhs = sys_.scale**2 * np.sum(np.abs(etas - eta_bar) ** 2)
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_overdetermined_warns(self):
@@ -124,32 +129,48 @@ class TestBuildSystem:
         rng = child_rng(15)
         h = rng.standard_normal(8) + 0j
         with pytest.raises(ShapeError):
-            build_system(h, [], np.array([]), toy_consts())
+            build_system(h, [], toy_consts())
         with pytest.raises(ShapeError):
-            build_system(h, [np.ones(8)], np.array([1.0, 2.0]), toy_consts())
+            solve_perturbation(build_system(h, [np.ones(8)], toy_consts()), [[1.0, 2.0]], [0.0])
 
-    def test_with_eta_bar_matches_fresh_build(self):
-        """Re-aiming one factorization equals building the system for those targets."""
+    def test_batch_solve_matches_fresh_builds(self):
+        """One factorization serves a batch of targets exactly as a fresh build
+        solves each of them alone."""
         rng = child_rng(22)
         h = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, 24)) for _ in range(3)]
-        first = build_system(h, a_targets, [1.0, 2.0, 3.0], toy_consts())
-        eta_bar = np.array([4.0, 0.5, 7.0])
-        fresh = build_system(h, a_targets, eta_bar, toy_consts())
-        again = first.with_eta_bar(eta_bar)
-        np.testing.assert_array_equal(again.b_stacked, fresh.b_stacked)
-        lam = 0.3 * fresh.sigma_max
-        np.testing.assert_array_equal(
-            solve_perturbation(again, lam).delta_phi, solve_perturbation(fresh, lam).delta_phi
-        )
+        system = build_system(h, a_targets, toy_consts())
+        eta_bar = np.array([[1.0, 2.0, 3.0], [4.0, 0.5, 7.0]])
+        lam = np.array([0.3, 0.0]) * system.sigma_max
+        batch = solve_perturbation(system, eta_bar, lam)
+        for i in range(2):
+            alone = solve_one(build_system(h, a_targets, toy_consts()), eta_bar[i], lam[i])
+            np.testing.assert_array_equal(batch[i].delta_phi, alone.delta_phi)
+            assert batch[i].objective_value == alone.objective_value
+        np.testing.assert_array_equal(system.b_stacked(eta_bar)[1], system.b_stacked(eta_bar[1]))
 
-    def test_with_eta_bar_checks_stacking(self):
-        sys_ = random_system(child_rng(23), 16, 2)
-        broken = replace(sys_, a_stacked=2.0 * sys_.a_stacked)
-        with pytest.raises(NumericalError):
-            broken.with_eta_bar(sys_.eta_bar)
+    def test_check_stacking_catches_corrupt_stack(self, monkeypatch):
+        sys_, eta_bar = random_problem(child_rng(23), 16, 2)
+        batch = [eta_bar, 2.0 * eta_bar, 0.5 * eta_bar]
+        sys_.check_stacking(batch)
         with pytest.raises(ShapeError):
-            sys_.with_eta_bar([1.0])
+            sys_.check_stacking([[1.0]])
+
+        rhs = PerturbationSystem.b_stacked
+
+        def corrupt_last_cell(system, targets):
+            b = rhs(system, targets)
+            b[-1] += 1.0
+            return b
+
+        monkeypatch.setattr(PerturbationSystem, "b_stacked", corrupt_last_cell)
+        with pytest.raises(NumericalError):
+            sys_.check_stacking(batch)
+        monkeypatch.undo()
+        stack = PerturbationSystem.a_stacked.fget
+        monkeypatch.setattr(PerturbationSystem, "a_stacked", property(lambda s: 2.0 * stack(s)))
+        with pytest.raises(NumericalError):
+            sys_.check_stacking(batch)
 
     def test_svd_shapes_full(self):
         sys_ = random_system(child_rng(16), 12, 2)
@@ -181,36 +202,36 @@ class TestSolver:
         for _ in range(12):
             n = int(rng.integers(8, 128))
             k = int(rng.integers(1, 9))
-            sys_ = random_system(rng, n, k)
+            sys_, eta_bar = random_problem(rng, n, k)
             for frac in (1e-3, 1.0, 10.0):
                 lam = frac * sys_.sigma_max
-                report = solve_perturbation(sys_, lam)
-                a, b = sys_.a_stacked, sys_.b_stacked
+                report = solve_one(sys_, eta_bar, lam)
+                a, b = sys_.a_stacked, sys_.b_stacked(eta_bar)
                 oracle = np.linalg.solve(a.T @ a + lam * np.eye(n), a.T @ b)
                 np.testing.assert_allclose(report.delta_phi, oracle, rtol=1e-8, atol=1e-10)
 
     def test_lambda_zero_is_pseudo_inverse(self):
-        sys_ = random_system(child_rng(18), 32, 2)
-        report = solve_perturbation(sys_, 0.0)
-        oracle, *_ = np.linalg.lstsq(sys_.a_stacked, sys_.b_stacked, rcond=None)
+        sys_, eta_bar = random_problem(child_rng(18), 32, 2)
+        report = solve_one(sys_, eta_bar, 0.0)
+        oracle, *_ = np.linalg.lstsq(sys_.a_stacked, sys_.b_stacked(eta_bar), rcond=None)
         np.testing.assert_allclose(report.delta_phi, oracle, rtol=1e-8, atol=1e-10)
 
     def test_norm_decreases_with_lambda(self):
-        sys_ = random_system(child_rng(19), 32, 2)
+        sys_, eta_bar = random_problem(child_rng(19), 32, 2)
         norms = [
-            np.linalg.norm(solve_perturbation(sys_, lam).delta_phi)
+            np.linalg.norm(solve_one(sys_, eta_bar, lam).delta_phi)
             for lam in (0.0, 0.1 * sys_.sigma_max, sys_.sigma_max, 10 * sys_.sigma_max)
         ]
         assert norms == sorted(norms, reverse=True)
 
     def test_negative_lambda_rejected(self):
-        sys_ = random_system(child_rng(20), 8, 1)
+        sys_, eta_bar = random_problem(child_rng(20), 8, 1)
         with pytest.raises(ValueError):
-            solve_perturbation(sys_, -1.0)
+            solve_one(sys_, eta_bar, -1.0)
 
     def test_report_fields(self):
-        sys_ = random_system(child_rng(21), 16, 2)
-        report = solve_perturbation(sys_, sys_.sigma_max)
+        sys_, eta_bar = random_problem(child_rng(21), 16, 2)
+        report = solve_one(sys_, eta_bar, sys_.sigma_max)
         assert report.lambda_used == pytest.approx(sys_.sigma_max)
         assert report.max_abs_perturbation == pytest.approx(
             np.max(np.abs(report.delta_phi))

@@ -3,7 +3,11 @@ import pytest
 
 from ris_isac import (
     LambdaPolicy,
+    NumericalError,
+    PerturbationSystem,
     child_rng,
+    design,
+    realize,
     solve_scenario,
 )
 
@@ -14,7 +18,7 @@ class TestResolveLambda:
     def test_adaptive_alpha_zero_is_sigma_max(self, scenario):
         outcome = solve_scenario(scenario.replace(alpha=0.0))
         assert outcome.lambda_normalized == pytest.approx(
-            outcome.system.sigma_max_normalized
+            outcome.realization.system.sigma_max_normalized
         )
 
     def test_adaptive_alpha_one_is_zero(self, scenario):
@@ -26,11 +30,11 @@ class TestResolveLambda:
         cell = scenario.replace(alpha=0.5, lambda_policy=LambdaPolicy.parse("fixed:0.1"))
         outcome = solve_scenario(cell)
         assert outcome.lambda_normalized == pytest.approx(
-            0.1 * outcome.system.sigma_max_normalized
+            0.1 * outcome.realization.system.sigma_max_normalized
         )
         # the solver-side ridge carries the power scale
         assert outcome.report.lambda_used == pytest.approx(
-            outcome.system.scale**2 * outcome.lambda_normalized
+            outcome.realization.system.scale**2 * outcome.lambda_normalized
         )
 
     def test_scale_invariance_of_policy(self, scenario):
@@ -57,7 +61,8 @@ class TestSolveScenario:
         """End-to-end pinned values for the shipped scenario, seed 1, alpha 1."""
         o = solve_scenario(scenario)
         assert o.metrics.snr_db == pytest.approx(23.382017477480485, abs=1e-9)
-        assert o.system.sigma_max_normalized == pytest.approx(15.38800258951944, abs=1e-9)
+        sigma = o.realization.system.sigma_max_normalized
+        assert sigma == pytest.approx(15.38800258951944, abs=1e-9)
         comm_only = o.realization.metrics_comm_only
         assert comm_only.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
@@ -77,3 +82,52 @@ class TestSolveScenario:
         assert len(o.v_final) == scenario.n_elements
         assert o.report.max_abs_perturbation < np.pi
         assert o.metrics.snr_linear <= o.realization.metrics_comm_only.snr_linear + 1e-9
+
+
+class TestDesignBatch:
+    """All cells of one realization are designed in one batched call."""
+
+    def test_batch_matches_cells_alone(self, scenario):
+        real = realize(scenario)
+        adaptive, fixed = LambdaPolicy("adaptive"), LambdaPolicy.parse("fixed:0.1")
+        cells = [
+            (0.0, scenario.weights, adaptive),
+            (0.5, (0.8, 0.2), fixed),
+            (1.0, scenario.weights, adaptive),  # lambda = 0: the pseudo-inverse branch
+            (0.3, (0.1, 0.9), LambdaPolicy.parse("fixed:0.5")),
+            (1.0, (0.5, 0.5), fixed),
+        ]
+        batch = design(real, cells)
+        assert batch[2].report.lambda_used == 0.0
+        for cell, got in zip(cells, batch):
+            (alone,) = design(real, [cell])
+            assert got.metrics == alone.metrics
+            np.testing.assert_array_equal(got.report.delta_phi, alone.report.delta_phi)
+            np.testing.assert_array_equal(got.v_final.phi, alone.v_final.phi)
+            assert got.lambda_normalized == alone.lambda_normalized
+            assert got.report.objective_value == alone.report.objective_value
+            np.testing.assert_array_equal(got.gain_bounds, alone.gain_bounds)
+        assert design(real, []) == []
+
+    def test_corrupt_cell_trips_taylor_check(self, scenario, monkeypatch):
+        real = realize(scenario)
+        cells = [(a, scenario.weights, LambdaPolicy("adaptive")) for a in (0.2, 0.5, 0.8)]
+        design(real, cells)
+        exact = PerturbationSystem.eta_exact_all
+
+        def corrupt_last_cell(system, delta_phi):
+            # moves the last cell's exact beam sums by more than twice its bound
+            eta = exact(system, delta_phi)
+            eta[-1] += 1.0 + np.sum(np.asarray(delta_phi)[-1] ** 2)
+            return eta
+
+        monkeypatch.setattr(PerturbationSystem, "eta_exact_all", corrupt_last_cell)
+        with pytest.raises(NumericalError, match="linearization"):
+            design(real, cells)
+
+    def test_corrupt_stack_trips_stacking_check(self, scenario, monkeypatch):
+        real = realize(scenario)
+        stack = PerturbationSystem.a_stacked.fget
+        monkeypatch.setattr(PerturbationSystem, "a_stacked", property(lambda s: 2.0 * stack(s)))
+        with pytest.raises(NumericalError, match="stacked objective"):
+            design(real, [(0.5, scenario.weights, LambdaPolicy("adaptive"))])
