@@ -10,13 +10,14 @@ ever sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig
 from .channel import ChannelSet
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,14 @@ class Metrics:
 
     @classmethod
     def from_linear(cls, snr: float, gains_linear) -> "Metrics":
+        """Both metrics from linear values; a NaN or infinite value raises NumericalError."""
+        snr, gains = float(snr), [float(g) for g in gains_linear]
+        if not all(map(math.isfinite, (snr, *gains))):
+            raise NumericalError(f"metrics not finite: snr {snr!r}, gains {gains!r}")
         return cls(
-            snr_linear=float(snr),
+            snr_linear=snr,
             snr_db=to_db(snr),
-            gains=tuple((float(g), to_db(g)) for g in gains_linear),
+            gains=tuple((g, to_db(g)) for g in gains),
         )
 
 

@@ -14,11 +14,11 @@ every vector uses the same convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _from_db
 from .errors import DegenerateGeometry
 
 SPEED_OF_LIGHT = 299792458.0
@@ -40,23 +40,13 @@ def child_rng(root_seed: int, *indices: int) -> Rng:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element counts and spacings; spacings default to half a wavelength."""
+    """Element counts of the BS array and the RIS; both arrays are spaced at
+    half a wavelength."""
 
     carrier_hz: float
     bs_antennas: int
     ris_cols: int  # N_H
     ris_rows: int  # N_V
-    d_bs: float = field(default=0.0)
-    d_h: float = field(default=0.0)
-    d_v: float = field(default=0.0)
-
-    def __post_init__(self):
-        half_wavelength = SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
-        for name in ("d_bs", "d_h", "d_v"):
-            if getattr(self, name) == 0.0:
-                object.__setattr__(self, name, half_wavelength)
-            elif getattr(self, name) <= 0.0:
-                raise DegenerateGeometry(f"{name}: spacing must be positive")
 
     @property
     def n_elements(self) -> int:
@@ -65,6 +55,11 @@ class ArrayGeometry:
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT
+
+    @property
+    def spacing(self) -> float:
+        """Half-wavelength element spacing of both arrays, in meters."""
+        return SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
 
     @classmethod
     def from_scenario(cls, scenario: ScenarioConfig) -> "ArrayGeometry":
@@ -90,7 +85,7 @@ def bs_steering(m_antennas: int, theta_tx: float, geom: ArrayGeometry) -> np.nda
     if m_antennas < 1:
         raise DegenerateGeometry("bs_steering: need at least one antenna")
     m = np.arange(1, m_antennas + 1)
-    phase = geom.wavenumber * (m - (m_antennas + 1) / 2.0) * geom.d_bs * np.cos(theta_tx)
+    phase = geom.wavenumber * (m - (m_antennas + 1) / 2.0) * geom.spacing * np.cos(theta_tx)
     return np.exp(1j * phase)
 
 
@@ -99,8 +94,8 @@ def _ris_offsets(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
     n_h = np.mod(n, geom.ris_cols)
     n_v = n // geom.ris_cols
     return (
-        (n_v - (geom.ris_rows + 1) / 2.0) * geom.d_v,
-        (n_h - (geom.ris_cols + 1) / 2.0) * geom.d_h,
+        (n_v - (geom.ris_rows + 1) / 2.0) * geom.spacing,
+        (n_h - (geom.ris_cols + 1) / 2.0) * geom.spacing,
     )
 
 
@@ -129,8 +124,22 @@ def path_loss_linear(l0_db: float, exponent_coeff: float, distance_m: float) -> 
     """Convert the dB loss model L0 + coeff*log10(d) into a linear power gain."""
     if distance_m <= 0:
         raise DegenerateGeometry(f"path_loss_linear: nonpositive distance {distance_m}")
-    loss_db = l0_db + exponent_coeff * np.log10(distance_m)
-    return float(10.0 ** (-loss_db / 10.0))
+    loss_db = l0_db + exponent_coeff * float(np.log10(distance_m))
+    return _from_db(-loss_db)
+
+
+def path_gains(scenario: ScenarioConfig) -> tuple[float, float]:
+    """Linear path gains (beta_g, beta_ue) of the BS-RIS and RIS-user links."""
+
+    def distance(a, b) -> float:
+        return float(np.hypot(b[0] - a[0], b[1] - a[1]))
+
+    return (
+        path_loss_linear(scenario.reference_loss_db, scenario.bs_ris_exponent,
+                         distance(scenario.bs_pos, scenario.ris_pos)),
+        path_loss_linear(scenario.reference_loss_db, scenario.ris_ue_exponent,
+                         distance(scenario.ris_pos, scenario.ue_pos)),
+    )
 
 
 def rician_user_channel(
@@ -169,24 +178,14 @@ def target_angle(scenario: ScenarioConfig, index: int) -> float:
     """Angle of one configured target as seen from the RIS, in radians."""
     t = scenario.targets[index]
     if t.angle_deg is not None:
-        return float(np.deg2rad(t.angle_deg))
+        return float(np.deg2rad(float(t.angle_deg)))
     return angle_from_positions(scenario.ris_pos, t.position)
 
 
 def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     """Instantiate every channel quantity for one fading realization."""
     geom = ArrayGeometry.from_scenario(scenario)
-
-    d_bs_ris = float(np.hypot(
-        scenario.ris_pos[0] - scenario.bs_pos[0],
-        scenario.ris_pos[1] - scenario.bs_pos[1],
-    ))
-    d_ris_ue = float(np.hypot(
-        scenario.ue_pos[0] - scenario.ris_pos[0],
-        scenario.ue_pos[1] - scenario.ris_pos[1],
-    ))
-    beta_g = path_loss_linear(scenario.reference_loss_db, scenario.bs_ris_exponent, d_bs_ris)
-    beta_ue = path_loss_linear(scenario.reference_loss_db, scenario.ris_ue_exponent, d_ris_ue)
+    beta_g, beta_ue = path_gains(scenario)
 
     theta_tx = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)

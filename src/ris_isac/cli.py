@@ -3,9 +3,10 @@
 Subcommands: `solve` (one scenario end to end, printed summary),
 `experiment` (CSV-producing studies), `validate` (config check only).
 Flags override scenario-file fields, which override built-in defaults.
-Exit codes: 0 success, 2 config error, 3 numerical error, 4 capability
-error.  Every output-producing run writes a JSON manifest before its
-results; the manifest pins everything needed to reproduce the run.
+Exit codes: 0 success, 1 internal error (any other exception, reported on
+one line), 2 config error, 3 numerical error, 4 capability error.  Every
+output-producing run writes a JSON manifest before its results; the
+manifest pins everything needed to reproduce the run.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CAPABILITY = 4
@@ -117,7 +119,6 @@ def _load_scenario(args) -> tuple[ScenarioConfig, str]:
         overrides["lambda_policy"] = LambdaPolicy.parse(args.lambda_policy)
     if overrides:
         scenario = scenario.replace(**overrides)
-        scenario.validate()
     return scenario, path
 
 
@@ -129,23 +130,26 @@ def _seed_list(scenario: ScenarioConfig, n_seeds: int | None) -> list[int]:
     return [scenario.seed + i for i in range(n)]
 
 
+def _start_manifest(out: Path, path: str, scenario: ScenarioConfig, seeds) -> RunManifest:
+    """Create the output directory and write the manifest before any result."""
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
+        command=sys.argv[1:],
+        scenario_path=path,
+        resolved_config=scenario.to_dict(),
+        seed_list=list(seeds),
+        output_dir=str(out),
+        tool_version=__version__,
+    )
+    manifest.write(out / "manifest.json")
+    return manifest
+
+
 def cmd_solve(args) -> int:
     scenario, path = _load_scenario(args)
-    scenario.validate()
-
     manifest = None
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(
-            command=sys.argv[1:],
-            scenario_path=path,
-            resolved_config=scenario.to_dict(),
-            seed_list=[scenario.seed],
-            output_dir=str(out),
-            tool_version=__version__,
-        )
-        manifest.write(out / "manifest.json")
+        manifest = _start_manifest(Path(args.out), path, scenario, [scenario.seed])
 
     t0 = time.perf_counter()
     from .pipeline import solve_scenario
@@ -170,21 +174,17 @@ def cmd_experiment(args) -> int:
     from . import experiments as exp
 
     scenario, path = _load_scenario(args)
-    scenario.validate()
     seeds = _seed_list(scenario, args.seeds)
+    alphas = list(DEFAULT_ALPHAS)
+    if args.alphas:
+        try:  # each entry must pass the config's own alpha rule
+            alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--alphas: {exc}") from None
     sdr_cap = args.sdr_cap if args.sdr_cap is not None else exp.DEFAULT_SDR_CAP
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=sys.argv[1:],
-        scenario_path=path,
-        resolved_config=scenario.to_dict(),
-        seed_list=seeds,
-        output_dir=str(out),
-        tool_version=__version__,
-    )
-    manifest.write(out / "manifest.json")
+    manifest = _start_manifest(out, path, scenario, seeds)
     t0 = time.perf_counter()
 
     if args.name == "heatmap":
@@ -193,14 +193,7 @@ def cmd_experiment(args) -> int:
         result = exp.run_heatmap(scenario, grid, method, seeds=seeds, sdr_cap=sdr_cap)
         result.write_csv(out / "heatmap.csv")
     elif args.name == "alpha-sweep":
-        alphas = (
-            [float(a) for a in args.alphas.split(",")]
-            if args.alphas
-            else list(DEFAULT_ALPHAS)
-        )
-        policies = (
-            [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
-        )
+        policies = [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
         result = exp.sweep_alpha(scenario, alphas, policies, seeds)
         result.write_csv(out / "alpha_sweep.csv")
     elif args.name == "weight-sweep":
@@ -209,13 +202,9 @@ def cmd_experiment(args) -> int:
     elif args.name == "aoa-scan":
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
         result.write_csv(out / "aoa_scan.csv")
-    elif args.name == "complexity":
-        result = exp.run_complexity_probe(
-            DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap
-        )
+    else:  # complexity; argparse restricts the choices
+        result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap)
         result.write_csv(out / "complexity.csv")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown experiment {args.name!r}")
 
     manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(out / "manifest.json")
@@ -224,9 +213,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = args.scenario if args.scenario else str(default_scenario_path())
-    scenario = ScenarioConfig.from_file(path)
-    scenario.validate()
+    scenario, path = _load_scenario(args)
     print(f"{path}: ok ({len(scenario.targets)} targets, N={scenario.n_elements})")
     return EXIT_OK
 
@@ -234,14 +221,9 @@ def cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"solve": cmd_solve, "experiment": cmd_experiment, "validate": cmd_validate}
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "experiment":
-            return cmd_experiment(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -254,6 +236,9 @@ def main(argv=None) -> int:
     except RisIsacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

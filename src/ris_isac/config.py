@@ -3,35 +3,64 @@
 All powers and losses are kept in dB units here; conversion to linear
 happens once when a scenario is turned into channels/constants, so the
 numerical core never mixes units.
+
+Each config type checks its own fields when it is built, so every
+LambdaPolicy, TargetSpec and ScenarioConfig that exists is valid: replace,
+with_weights and from_dict raise ConfigError rather than return a bad one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
 WEIGHT_SUM_TOL = 1e-12
+# Every linear link quantity must lie in [1/LINK_BUDGET_LIMIT, LINK_BUDGET_LIMIT]: eight
+# decades inside the float range, so fading and beam nulls cannot over- or underflow a metric.
+LINK_BUDGET_LIMIT = 1e300
 
 
 def _finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real number, not a bool, that converts to a finite float."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
+def _check_fields(obj, prefix: str = "") -> None:
+    """The one field rule: each field must be of the kind its annotation
+    names (int but not bool, finite float, or a pair of finite floats); an
+    optional field may also be None.  Raises ConfigError naming the field."""
+    for f in fields(obj):
+        name, kind, v = prefix + f.name, f.type.removesuffix(" | None"), getattr(obj, f.name)
+        if v is None and kind != f.type:
+            continue
+        if kind == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            raise ConfigError(f"{name}: must be an integer, got {v!r}")
+        if kind == "float" and not _finite_real(v):
+            raise ConfigError(f"{name}: must be a finite number, got {v!r}")
+        if kind == "tuple[float, float]" and not (
+            isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite_real, v))
+        ):
+            raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
 
 
 def _from_db(db: float) -> float:
     """10^(db/10), or inf where that overflows a float."""
     try:
-        return 10.0 ** (db / 10.0)
+        return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         return math.inf
 
 
 def _as_tuple(value):
-    """A JSON list as a tuple; anything else is left for validate() to reject."""
+    """A JSON list as a tuple; anything else is left for the field check to reject."""
     return tuple(value) if isinstance(value, list) else value
 
 
@@ -46,9 +75,9 @@ class LambdaPolicy:
     def __post_init__(self):
         if self.kind not in ("adaptive", "fixed_fraction"):
             raise ConfigError(f"lambda_policy: unknown kind {self.kind!r}")
-        if self.kind == "fixed_fraction":
-            if self.fraction is None or self.fraction < 0:
-                raise ConfigError("lambda_policy: fixed_fraction needs a nonnegative fraction")
+        _check_fields(self, "lambda_policy.")
+        if self.kind == "fixed_fraction" and (self.fraction is None or self.fraction < 0):
+            raise ConfigError("lambda_policy: fixed_fraction needs a nonnegative fraction")
 
     @classmethod
     def parse(cls, text: str) -> "LambdaPolicy":
@@ -74,23 +103,28 @@ class LambdaPolicy:
             raise ValueError("sigma_max must be nonnegative")
         if self.kind == "adaptive":
             return (1.0 - alpha**2) * sigma_max
-        return self.fraction * sigma_max
+        lam = self.fraction * sigma_max
+        if not math.isfinite(lam):
+            raise ConfigError(f"lambda_policy: {self} times sigma_max {sigma_max!r} overflows")
+        return lam
 
 
 @dataclass(frozen=True)
 class TargetSpec:
     """One sensing target: either a direct angle or a 2-D position, plus its
-    fairness weight."""
+    fairness weight.  Error messages name the bare field; from_dict prefixes
+    the target's index."""
 
     weight: float
     angle_deg: float | None = None
     position: tuple[float, float] | None = None
 
     def __post_init__(self):
+        _check_fields(self)
         if (self.angle_deg is None) == (self.position is None):
-            raise ConfigError("targets: each target needs exactly one of angle_deg / position")
+            raise ConfigError("angle_deg/position: each target needs exactly one of them")
         if self.weight < 0:
-            raise ConfigError("targets: weights must be nonnegative")
+            raise ConfigError(f"weight: must be nonnegative, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -131,48 +165,34 @@ class ScenarioConfig:
     def weights(self) -> tuple[float, ...]:
         return tuple(t.weight for t in self.targets)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        """Check each field (and each target's) against the kind its annotation names,
-        then the structural invariants; raises ConfigError naming the field."""
-        checked = [(f.name, f.type, getattr(self, f.name)) for f in fields(self)]
-        for i, t in enumerate(self.targets):
-            checked += [
-                (f"targets[{i}].{f.name}", f.type.removesuffix(" | None"), getattr(t, f.name))
-                for f in fields(t)
-                if getattr(t, f.name) is not None
-            ]
-        for name, kind, v in checked:
-            if kind == "int" and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
-                raise ConfigError(f"{name}: must be an integer, got {v!r}")
-            if kind == "float" and not _finite_real(v):
-                raise ConfigError(f"{name}: must be a finite number, got {v!r}")
-            pair = isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite_real, v))
-            if kind == "tuple[float, float]" and not pair:
-                raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
-        for name, linear in (
-            ("transmit_power_dbm", self.transmit_power_w),
-            ("noise_power_dbm", self.noise_power_w),
-            ("reference_loss_db", _from_db(-self.reference_loss_db)),
-        ):
-            if not 0.0 < linear < math.inf:
-                raise ConfigError(f"{name}: out of range, linear value {linear!r}")
-        if self.bs_antennas < 1:
-            raise ConfigError("bs_antennas: must be >= 1")
-        if self.ris_rows < 1 or self.ris_cols < 1:
-            raise ConfigError("ris_rows/ris_cols: must be >= 1")
+        """Check each field against the kind its annotation names, then the
+        cross-field rules; raises ConfigError naming the field.  It runs on
+        every construction, so a ScenarioConfig that exists has passed it."""
+        from .channel import ArrayGeometry, path_gains  # channel imports this module
+
+        _check_fields(self)
+        if not isinstance(self.lambda_policy, LambdaPolicy):
+            raise ConfigError(
+                f"lambda_policy: expected 'adaptive' or 'fixed:<c>', got {self.lambda_policy!r}"
+            )
+        if not (isinstance(self.targets, tuple) and self.targets
+                and all(isinstance(t, TargetSpec) for t in self.targets)):
+            raise ConfigError("targets: must be a nonempty tuple of TargetSpec")
+        for name, least in (("bs_antennas", 1), ("ris_rows", 1), ("ris_cols", 1),
+                            ("seed", 0), ("rician_kappa", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)!r}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha: must be in [0, 1], got {self.alpha}")
-        if self.rician_kappa < 0:
-            raise ConfigError("rician_kappa: must be >= 0")
         if self.carrier_hz <= 0:
             raise ConfigError("carrier_hz: must be positive")
-        if not self.targets:
-            raise ConfigError("targets: at least one target required")
         total = math.fsum(t.weight for t in self.targets)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ConfigError(f"targets: weights must sum to 1 (got {total!r})")
-        if self.seed < 0:
-            raise ConfigError("seed: must be a nonnegative integer")
         if tuple(self.bs_pos) == tuple(self.ris_pos):
             raise ConfigError("ris_pos: coincides with bs_pos")
         if tuple(self.ris_pos) == tuple(self.ue_pos):
@@ -180,19 +200,34 @@ class ScenarioConfig:
         for i, t in enumerate(self.targets):
             if t.position is not None and tuple(t.position) == tuple(self.ris_pos):
                 raise ConfigError(f"targets[{i}]: position coincides with ris_pos")
+        beta_g, beta_ue = path_gains(self)
+        geom = ArrayGeometry.from_scenario(self)
+        gain_ceiling = self.transmit_power_w * beta_g * self.bs_antennas * self.n_elements**2
+        for name, linear in (
+            ("transmit_power_dbm", self.transmit_power_w),
+            ("noise_power_dbm", self.noise_power_w),
+            ("reference_loss_db", _from_db(-self.reference_loss_db)),
+            ("bs_ris_exponent", beta_g),
+            ("ris_ue_exponent", beta_ue),
+            # phase span of both arrays, about pi * elements when it is finite
+            ("carrier_hz",
+             geom.wavenumber * ((self.bs_antennas + self.n_elements) * geom.spacing)),
+            ("transmit_power_dbm (gain ceiling)", gain_ceiling),
+            ("noise_power_dbm (line-of-sight SNR)",
+             gain_ceiling * beta_ue * _from_db(30.0 - self.noise_power_dbm)),
+        ):
+            if not 1.0 / LINK_BUDGET_LIMIT <= linear <= LINK_BUDGET_LIMIT:
+                raise ConfigError(f"{name}: out of range, linear value {linear!r}")
 
     def replace(self, **kwargs) -> "ScenarioConfig":
-        data = {**self.__dict__, **kwargs}
-        return ScenarioConfig(**data)
+        return dataclasses.replace(self, **kwargs)
 
     def with_weights(self, weights) -> "ScenarioConfig":
         if len(weights) != len(self.targets):
             raise ConfigError("targets: weight count mismatch")
-        new_targets = tuple(
-            TargetSpec(weight=w, angle_deg=t.angle_deg, position=t.position)
-            for t, w in zip(self.targets, weights)
+        return self.replace(
+            targets=tuple(dataclasses.replace(t, weight=w) for t, w in zip(self.targets, weights))
         )
-        return self.replace(targets=new_targets)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -205,57 +240,35 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         data = dict(data)
-        required = [
-            "transmit_power_dbm", "noise_power_dbm", "carrier_hz", "bs_antennas",
-            "ris_rows", "ris_cols", "rician_kappa", "reference_loss_db",
-            "bs_pos", "ris_pos", "ue_pos", "targets", "alpha",
+        missing = [
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in data
         ]
-        missing = [k for k in required if k not in data]
         if missing:
             raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-
-        raw_targets = data.pop("targets")
-        if not isinstance(raw_targets, list):
-            raise ConfigError("targets: must be a list")
-        targets = []
-        for i, t in enumerate(raw_targets):
-            if not isinstance(t, dict) or "weight" not in t:
-                raise ConfigError(f"targets[{i}]: must be an object with a 'weight' key")
-            try:
-                targets.append(
-                    TargetSpec(
-                        weight=float(t["weight"]),
-                        angle_deg=float(t["angle_deg"]) if "angle_deg" in t else None,
-                        position=_as_tuple(t["position"]) if "position" in t else None,
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"targets[{i}]: {exc}") from exc
-
-        policy = data.pop("lambda_policy", "adaptive")
-        if isinstance(policy, str):
-            policy = LambdaPolicy.parse(policy)
-
-        for name in (f.name for f in fields(cls) if f.type == "int"):
-            if isinstance(data.get(name), float) and data[name].is_integer():
-                data[name] = int(data[name])  # JSON writes 11.0 for 11 as well
-
-        known = set(cls.__dataclass_fields__)
-        unknown = [k for k in data if k not in known]
+        unknown = [k for k in data if k not in cls.__dataclass_fields__]
         if unknown:
             raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}")
 
-        try:
-            cfg = cls(
-                targets=tuple(targets),
-                lambda_policy=policy,
-                **{k: _as_tuple(data.pop(k)) for k in ("bs_pos", "ris_pos", "ue_pos")},
-                **data,
-            )
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        cfg.validate()
-        return cfg
+        if not isinstance(data["targets"], list):
+            raise ConfigError("targets: must be a list")
+        targets = []
+        for i, t in enumerate(data["targets"]):
+            if not isinstance(t, dict) or "weight" not in t:
+                raise ConfigError(f"targets[{i}]: must be an object with a 'weight' key")
+            try:
+                position = _as_tuple(t.get("position"))
+                targets.append(TargetSpec(t["weight"], t.get("angle_deg"), position))
+            except ConfigError as exc:
+                raise ConfigError(f"targets[{i}].{exc}") from None
+        data["targets"] = tuple(targets)
+
+        if isinstance(data.get("lambda_policy"), str):
+            data["lambda_policy"] = LambdaPolicy.parse(data["lambda_policy"])
+        for name in (f.name for f in fields(cls) if f.type == "int"):
+            if isinstance(data.get(name), float) and data[name].is_integer():
+                data[name] = int(data[name])  # JSON writes 11.0 for 11 as well
+        return cls(**{k: _as_tuple(v) for k, v in data.items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":

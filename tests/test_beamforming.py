@@ -10,7 +10,7 @@ from ris_isac import (
     comm_snr_mrt,
 )
 from ris_isac.beamforming import Metrics, metrics_for, to_db
-from ris_isac.errors import DegenerateGeometry, ShapeError
+from ris_isac.errors import DegenerateGeometry, NumericalError, ShapeError
 
 
 def test_to_db():
@@ -23,6 +23,9 @@ def test_metrics_from_linear():
     m = Metrics.from_linear(10.0, [1.0, 100.0])
     assert m.snr_db == pytest.approx(10.0)
     assert m.gains[1] == (100.0, pytest.approx(20.0))
+    for snr, gains in ((np.nan, [1.0]), (np.inf, [1.0]), (1.0, [1.0, np.nan]), (1.0, [-np.inf])):
+        with pytest.raises(NumericalError):
+            Metrics.from_linear(snr, gains)
 
 
 class TestMrt:

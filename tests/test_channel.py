@@ -35,12 +35,7 @@ class TestChildRng:
 class TestGeometry:
     def test_half_wavelength_default(self):
         g = geom(f=10e9)
-        assert g.d_h == pytest.approx(SPEED_OF_LIGHT / 2e10)
-        assert g.d_h == g.d_v == g.d_bs
-
-    def test_nonpositive_spacing(self):
-        with pytest.raises(DegenerateGeometry):
-            ArrayGeometry(carrier_hz=1e9, bs_antennas=1, ris_cols=2, ris_rows=2, d_h=-1.0)
+        assert g.spacing == pytest.approx(SPEED_OF_LIGHT / 2e10)
 
     def test_angle_from_positions(self):
         assert angle_from_positions((0, 0), (1, 1)) == pytest.approx(np.pi / 4)

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ris_isac import cli
 from ris_isac.cli import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     main,
 )
-from ris_isac.config import default_scenario_path
+from ris_isac.config import ScenarioConfig, default_scenario_path
+from ris_isac.pipeline import solve_scenario
 
 
 @pytest.fixture()
@@ -65,13 +72,27 @@ class TestValidate:
             ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=1e6)),
             ("noise_power_dbm", lambda d: d.update(noise_power_dbm=-1e6)),
             ("reference_loss_db", lambda d: d.update(reference_loss_db=1e6)),
+            ("lambda_policy", lambda d: d.update(lambda_policy=5)),
+            ("targets[0].weight", lambda d: d["targets"][0].update(weight=True)),
+            ("targets[1].angle_deg", lambda d: d["targets"][1].update(angle_deg="90")),
+            ("bs_ris_exponent", lambda d: d.update(bs_ris_exponent=1e6)),
+            ("bs_ris_exponent", lambda d: d.update(bs_ris_exponent=-1e6)),
+            ("ris_ue_exponent", lambda d: d.update(ris_ue_exponent=1e6)),
+            ("ris_ue_exponent", lambda d: d.update(ris_ue_exponent=-1e6)),
+            ("_exponent", lambda d: d.update(ue_pos=[1e308, 0.0], ris_pos=[-1e308, 0.0])),
+            ("carrier_hz", lambda d: d.update(carrier_hz=1e-300)),
+            ("carrier_hz", lambda d: d.update(carrier_hz=1e308)),
+            ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=3058)),
         ],
         ids=[
             "nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed",
             "string_alpha", "short_ue_pos", "nan_ue_pos", "nan_carrier", "nan_kappa",
             "nan_reference_loss", "nan_bs_ris_exponent", "inf_power", "nan_noise",
             "nan_target_angle", "scalar_ue_pos", "scalar_target_position", "huge_power",
-            "tiny_noise", "huge_reference_loss",
+            "tiny_noise", "huge_reference_loss", "int_lambda_policy", "bool_weight",
+            "string_target_angle", "bs_ris_gain_underflow", "bs_ris_gain_overflow",
+            "ris_ue_gain_underflow", "ris_ue_gain_overflow", "far_apart_positions",
+            "tiny_carrier", "huge_carrier", "link_budget_overflow",
         ],
     )
     def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):
@@ -124,6 +145,19 @@ class TestSolve:
 
     def test_bad_policy_flag(self, capsys):
         assert main(["solve", "--lambda-policy", "banana"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("policy", ["fixed:nan", "fixed:inf", "fixed:1e308"])
+    def test_nonfinite_ridge_rejected(self, capsys, policy):
+        assert main(["solve", "--lambda-policy", policy]) == EXIT_CONFIG
+        assert "lambda_policy" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_solve", boom)
+        assert main(["solve"]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_manifest_written(self, tmp_path):
         out_dir = tmp_path / "run"
@@ -180,9 +214,89 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "frobnicate"])
 
+    @pytest.mark.parametrize("alphas", ["0.5,x", "1.5", "nan", "-1"])
+    def test_bad_alphas_rejected_before_output(self, small_file, tmp_path, capsys, alphas):
+        out = tmp_path / "exp"
+        code = main([
+            "experiment", "alpha-sweep", "--scenario", small_file,
+            "--out", str(out), f"--alphas={alphas}",
+        ])
+        assert code == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeds_must_be_positive(self, small_file, tmp_path):
         code = main([
             "experiment", "alpha-sweep", "--scenario", small_file,
             "--out", str(tmp_path / "x"), "--seeds", "0",
         ])
         assert code == EXIT_CONFIG
+
+
+_SPECIAL_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
+    5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+]
+_JUNK = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.floats(), max_size=3),
+    st.none(),
+)
+# Element and antenna counts stay at or below 8 when they are valid, so that no
+# example allocates a huge surface; every other invalid count is still drawn.
+_COUNT = st.one_of(
+    st.sampled_from([v for v in _SPECIAL_FLOATS if v != 1e308]),
+    st.floats(max_value=8.0),
+    st.integers(max_value=8),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.floats(), max_size=3),
+    st.none(),
+)
+_POLICY = st.one_of(
+    _JUNK,
+    st.sampled_from(["adaptive", "fixed:nan", "fixed:inf", "fixed:-1", "fixed:1e308"]),
+    st.floats().map(lambda c: f"fixed:{c!r}"),
+)
+_COUNTS = ("bs_antennas", "ris_rows", "ris_cols")
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The shipped scenario with one to four fields or target entries replaced."""
+    d = json.loads(default_scenario_path().read_text())
+    targets = d["targets"]
+    keys = st.sampled_from([*d, "targets[0]", "targets[1]"])
+    for key in draw(st.lists(keys, min_size=1, max_size=4)):
+        if key.startswith("targets["):
+            entry = draw(st.sampled_from(["weight", "angle_deg", "position"]))
+            targets[int(key[8])][entry] = draw(_JUNK)
+        else:
+            values = _COUNT if key in _COUNTS else _POLICY if key == "lambda_policy" else _JUNK
+            d[key] = draw(values)
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_mutated_scenarios())
+def test_any_scenario_is_rejected_or_finite(tmp_path_factory, d):
+    """Any mutation of the shipped scenario exits 2, or exits 0 with finite output."""
+    p = tmp_path_factory.getbasetemp() / "mutated.json"
+    p.write_text(json.dumps(d))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--scenario", str(p)])
+    assert code in (EXIT_OK, EXIT_CONFIG), err.getvalue()
+    if code == EXIT_CONFIG:
+        return
+    # 10*log10 of a ceiling that is 0.0 in double precision (alpha * w_k = 0, or an
+    # alpha so small that P*beta_g*M*(alpha*w_k*N)^2 underflows) prints as -inf
+    bounds = solve_scenario(ScenarioConfig.from_dict(d)).gain_bounds
+    zero_ceilings = {f"gain_ub_t{k}_db" for k, ub in enumerate(bounds, 1) if ub == 0.0}
+    for item in out.getvalue().split():
+        key, value = item.split("=")
+        assert math.isfinite(float(value)) or (key in zero_ceilings and value == "-inf"), item

@@ -26,6 +26,11 @@ class TestLambdaPolicy:
         with pytest.raises(ConfigError):
             LambdaPolicy("fixed_fraction", -0.1)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), True, "0.5", None])
+    def test_nonfinite_fraction_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="lambda_policy"):
+            LambdaPolicy("fixed_fraction", fraction)
+
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     def test_parse_str_roundtrip(self, c):
         p = LambdaPolicy("fixed_fraction", c)
@@ -43,6 +48,18 @@ class TestTargetSpec:
         with pytest.raises(ConfigError):
             TargetSpec(weight=-0.1, angle_deg=90.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"weight": True, "angle_deg": 90.0}, "weight"),
+            ({"weight": 0.5, "angle_deg": "90"}, "angle_deg"),
+            ({"weight": 0.5, "position": (1.0, float("inf"))}, "position"),
+        ],
+    )
+    def test_field_kinds_checked(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            TargetSpec(**kwargs)
+
 
 class TestScenarioConfig:
     def test_shipped_scenario_valid(self, scenario):
@@ -55,9 +72,8 @@ class TestScenarioConfig:
         assert scenario.noise_power_w == pytest.approx(1e-11)
 
     def test_weights_must_sum_to_one(self, scenario):
-        bad = scenario.with_weights((0.6, 0.6))
         with pytest.raises(ConfigError, match="sum to 1"):
-            bad.validate()
+            scenario.with_weights((0.6, 0.6))
 
     def test_alpha_range(self, scenario):
         with pytest.raises(ConfigError, match="alpha"):
@@ -66,6 +82,21 @@ class TestScenarioConfig:
     def test_coincident_positions(self, scenario):
         with pytest.raises(ConfigError):
             scenario.replace(ue_pos=scenario.ris_pos).validate()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda s: s.replace(alpha=float("nan")),
+            lambda s: s.replace(lambda_policy="adaptive"),
+            lambda s: s.replace(targets=[]),
+            lambda s: s.with_weights((float("nan"), 0.5)),
+            lambda s: ScenarioConfig(**{**vars(s), "seed": -1}),
+        ],
+        ids=["replace", "replace_policy_str", "replace_targets_list", "with_weights", "direct"],
+    )
+    def test_every_construction_checks(self, scenario, build):
+        with pytest.raises(ConfigError):
+            build(scenario)
 
     def test_dict_roundtrip(self, scenario):
         again = ScenarioConfig.from_dict(scenario.to_dict())
