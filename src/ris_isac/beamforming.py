@@ -10,7 +10,6 @@ ever sampled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,23 +60,31 @@ class Metrics:
     gains: tuple[tuple[float, float], ...]  # (linear, dB) per target
 
     @classmethod
-    def from_linear(cls, snr: float, gains_linear) -> "Metrics":
-        """Both metrics from linear values; a NaN or infinite value raises NumericalError."""
-        snr, gains = float(snr), [float(g) for g in gains_linear]
-        if not all(map(math.isfinite, (snr, *gains))):
-            raise NumericalError(f"metrics not finite: snr {snr!r}, gains {gains!r}")
-        return cls(
-            snr_linear=snr,
-            snr_db=to_db(snr),
-            gains=tuple((g, to_db(g)) for g in gains),
-        )
+    def from_linear(cls, snr, gains_linear) -> list["Metrics"]:
+        """Metrics of C designs from linear SNRs (C,) and gains (C, K), converted
+        to dB in one pass; a NaN or infinite value raises NumericalError naming
+        the first design that has one."""
+        snr, gains = np.asarray(snr, dtype=float), np.asarray(gains_linear, dtype=float)
+        finite = np.isfinite(snr) & np.isfinite(gains).all(axis=-1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NumericalError(
+                f"metrics not finite: snr {snr[i].item()!r}, gains {gains[i].tolist()!r}"
+            )
+        return [
+            cls(s, s_db, tuple(zip(g, g_db)))
+            for s, s_db, g, g_db in zip(
+                snr.tolist(), to_db(snr).tolist(), gains.tolist(), to_db(gains).tolist()
+            )
+        ]
 
 
-def to_db(x: float) -> float:
-    x = float(x)
-    if x <= 0.0:
-        return -np.inf
-    return 10.0 * np.log10(x)
+def to_db(x):
+    """10*log10(x) elementwise, with -inf where x <= 0; a scalar gives a float."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.where(x <= 0.0, -np.inf, 10.0 * np.log10(x))
+    return db if db.ndim else float(db)
 
 
 def comm_snr_mrt(
@@ -104,4 +111,4 @@ def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) ->
     """Evaluate both metrics for each row of a batch of RIS phase vectors (C, N)."""
     snr = comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts)
     gains = beampattern_gain(v[:, None, :], np.asarray(channels.a_targets), channels.g_ris, consts)
-    return [Metrics.from_linear(s, g) for s, g in zip(snr, gains)]
+    return Metrics.from_linear(snr, gains)

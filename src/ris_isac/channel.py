@@ -169,9 +169,7 @@ class ChannelSet:
     h_ue: np.ndarray  # Rician RIS-user channel, length N
     a_targets: tuple[np.ndarray, ...]  # per-target RIS steering, each length N
     theta_tx: float
-    theta_ue: float
     theta_targets: tuple[float, ...]
-    geometry: ArrayGeometry
 
 
 def target_angle(scenario: ScenarioConfig, index: int) -> float:
@@ -205,7 +203,5 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
         h_ue=h_ue,
         a_targets=a_targets,
         theta_tx=theta_tx,
-        theta_ue=theta_ue,
         theta_targets=theta_targets,
-        geometry=geom,
     )

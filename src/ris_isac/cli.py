@@ -18,9 +18,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from .beamforming import to_db
 from .config import LambdaPolicy, ScenarioConfig, default_scenario_path
 from .errors import (
     CapExceeded,
@@ -157,10 +156,10 @@ def cmd_solve(args) -> int:
     outcome = solve_scenario(scenario)
 
     print(f"gamma_db={outcome.metrics.snr_db:.6f}")
-    for k, ((_, g_db), ub) in enumerate(zip(outcome.metrics.gains, outcome.gain_bounds), 1):
-        ub_db = 10.0 * np.log10(ub) if ub > 0 else float("-inf")
+    gain_ub_db = to_db(outcome.gain_bounds)
+    for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains, gain_ub_db), 1):
         print(f"gain_t{k}_db={g_db:.6f} gain_ub_t{k}_db={ub_db:.6f}")
-    print(f"lambda={outcome.lambda_normalized:.9g}")
+    print(f"lambda={outcome.report.lambda_used:.9g}")
     print(f"max_abs_dphi={outcome.report.max_abs_perturbation:.9g}")
     print(f"objective={outcome.report.objective_value:.9g}")
 
@@ -191,20 +190,16 @@ def cmd_experiment(args) -> int:
         grid = exp.GridSpec(0.0, 120.0, -40.0, 40.0, 2.0)
         method = args.method.replace("-", "_")
         result = exp.run_heatmap(scenario, grid, method, seeds=seeds, sdr_cap=sdr_cap)
-        result.write_csv(out / "heatmap.csv")
     elif args.name == "alpha-sweep":
         policies = [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
         result = exp.sweep_alpha(scenario, alphas, policies, seeds)
-        result.write_csv(out / "alpha_sweep.csv")
     elif args.name == "weight-sweep":
         result = exp.sweep_weight_ratio(scenario, DEFAULT_RATIOS, seeds)
-        result.write_csv(out / "weight_sweep.csv")
     elif args.name == "aoa-scan":
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
-        result.write_csv(out / "aoa_scan.csv")
     else:  # complexity; argparse restricts the choices
         result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap)
-        result.write_csv(out / "complexity.csv")
+    result.write_csv(out / f"{args.name.replace('-', '_')}.csv")
 
     manifest.wall_time_s = time.perf_counter() - t0
     manifest.write(out / "manifest.json")

@@ -25,6 +25,7 @@ WEIGHT_SUM_TOL = 1e-12
 # Every linear link quantity must lie in [1/LINK_BUDGET_LIMIT, LINK_BUDGET_LIMIT]: eight
 # decades inside the float range, so fading and beam nulls cannot over- or underflow a metric.
 LINK_BUDGET_LIMIT = 1e300
+MAX_ARRAY_LENGTH = sys.maxsize  # np.iinfo(np.intp).max, the longest array numpy can index
 
 
 def _finite_real(value) -> bool:
@@ -186,6 +187,10 @@ class ScenarioConfig:
                             ("seed", 0), ("rician_kappa", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name}: must be >= {least}, got {getattr(self, name)!r}")
+        for name, count in (("bs_antennas", self.bs_antennas), ("ris_rows", self.ris_rows),
+                            ("ris_cols", self.ris_cols), ("ris_rows * ris_cols", self.n_elements)):
+            if count > MAX_ARRAY_LENGTH:
+                raise ConfigError(f"{name}: exceeds the longest array, {MAX_ARRAY_LENGTH} elements")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha: must be in [0, 1], got {self.alpha}")
         if self.carrier_hz <= 0:
@@ -256,6 +261,9 @@ class ScenarioConfig:
         for i, t in enumerate(data["targets"]):
             if not isinstance(t, dict) or "weight" not in t:
                 raise ConfigError(f"targets[{i}]: must be an object with a 'weight' key")
+            unknown = [k for k in t if k not in TargetSpec.__dataclass_fields__]
+            if unknown:
+                raise ConfigError(f"targets[{i}]: unknown key(s): {', '.join(sorted(unknown))}")
             try:
                 position = _as_tuple(t.get("position"))
                 targets.append(TargetSpec(t["weight"], t.get("angle_deg"), position))

@@ -1,7 +1,7 @@
 """Reproductions of the reference studies at configurable scale.
 
-Each experiment returns plain row dicts (one per Monte Carlo cell) plus a
-seed-mean aggregate, and can serialize itself to CSV.  All randomness flows
+Each experiment returns a SweepResult: plain row dicts, one per CSV row,
+with seed-mean lookups, that can serialize itself to CSV.  All randomness flows
 from explicit seed lists through counter-derived child generators, so a
 rerun with the same inputs is byte-identical and cells can be evaluated in
 any order.
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SystemConstants
+from .beamforming import SystemConstants, to_db
 from .channel import (
     ArrayGeometry,
     angle_from_positions,
@@ -54,11 +54,8 @@ def write_csv(path, fieldnames, rows) -> None:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Raw per-cell rows plus the seed-mean series of one sweep."""
+    """The CSV rows of one study, with seed-mean lookups over them."""
 
-    axis_name: str
-    axis_values: tuple
-    seeds: tuple[int, ...]
     fieldnames: tuple[str, ...]
     rows: tuple[dict, ...]
 
@@ -74,24 +71,6 @@ class SweepResult:
 
     def write_csv(self, path) -> None:
         write_csv(path, self.fieldnames, self.rows)
-
-
-@dataclass(frozen=True)
-class HeatmapGrid:
-    """Seed-mean beampattern gain over a 2-D spatial grid."""
-
-    x_m: np.ndarray
-    y_m: np.ndarray
-    gain_db: np.ndarray  # shape (len(y_m), len(x_m))
-    metadata: dict = field(default_factory=dict)
-
-    def write_csv(self, path) -> None:
-        rows = [
-            {"x_m": float(x), "y_m": float(y), "gain_db": float(self.gain_db[iy, ix])}
-            for iy, y in enumerate(self.y_m)
-            for ix, x in enumerate(self.x_m)
-        ]
-        write_csv(path, ("x_m", "y_m", "gain_db"), rows)
 
 
 @dataclass(frozen=True)
@@ -146,9 +125,7 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
 
     def pattern(real, method):
         sums = steering_h @ (np.conj(_method_phase(real, method).v) * real.channels.g_ris)
-        lin = real.consts.gain_prefactor * np.abs(sums) ** 2
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(lin)
+        return to_db(real.consts.gain_prefactor * np.abs(sums) ** 2)
 
     results = _run_cells(scenario, seeds, methods, lambda real, ms: [pattern(real, m) for m in ms])
     # a running total in seed order; np.sum's pairwise order would move the last bits
@@ -161,8 +138,9 @@ def run_heatmap(
     method: str,
     seeds=None,
     sdr_cap: int = DEFAULT_SDR_CAP,
-) -> HeatmapGrid:
-    """Seed-mean far-field beampattern gain over a spatial grid.
+) -> SweepResult:
+    """Seed-mean far-field beampattern gain over a spatial grid, one row per
+    grid cell, y outer and x inner.
 
     Each grid cell is scored by the gain toward its angle as seen from the
     RIS (angle-only, no range falloff); the rendering is relative, so only
@@ -180,24 +158,33 @@ def run_heatmap(
     angles = np.arctan2(yy - scenario.ris_pos[1], xx - scenario.ris_pos[0]).ravel()
     steering = ris_steering_rx(geom, angles)
     (mean,) = _seed_mean_patterns(scenario, seeds, [method], steering)
-    gain = mean.reshape(yy.shape)
 
-    return HeatmapGrid(
-        x_m=x,
-        y_m=y,
-        gain_db=gain,
-        metadata={
-            "method": method,
-            "seeds": list(seeds),
-            "ue_pos": list(scenario.ue_pos),
-            "target_angles_deg": [
-                t.angle_deg
-                if t.angle_deg is not None
-                else float(np.rad2deg(angle_from_positions(scenario.ris_pos, t.position)))
-                for t in scenario.targets
-            ],
-        },
-    )
+    rows = [
+        {"x_m": float(x_m), "y_m": float(y_m), "gain_db": float(g)}
+        for x_m, y_m, g in zip(xx.ravel(), yy.ravel(), mean)
+    ]
+    return SweepResult(fieldnames=("x_m", "y_m", "gain_db"), rows=tuple(rows))
+
+
+def _design_rows(scenario, seeds, labelled_cells) -> list[dict]:
+    """Design every (label, cell) pair on every seed; one row per pair and
+    seed, pair-major, as {**label, seed, gamma_db, gain_t<k>_db}."""
+    labels = [label for label, _ in labelled_cells]
+    cells = [cell for _, cell in labelled_cells]
+
+    def rows_of(real, cells):
+        return [
+            {
+                **label,
+                "seed": real.scenario.seed,
+                "gamma_db": o.metrics.snr_db,
+                **{f"gain_t{k}_db": g_db for k, (_, g_db) in enumerate(o.metrics.gains, 1)},
+            }
+            for label, o in zip(labels, design(real, cells))
+        ]
+
+    results = _run_cells(scenario, list(seeds), cells, rows_of)
+    return [row for per_seed in results for row in per_seed]
 
 
 def sweep_alpha(
@@ -207,30 +194,16 @@ def sweep_alpha(
     seeds,
 ) -> SweepResult:
     """Proposed-method trade-off sweep over alpha for several ridge policies."""
-    seeds = list(seeds)
     gain_cols = [f"gain_t{i + 1}_db" for i in range(len(scenario.targets))]
     policies = [LambdaPolicy.parse(p) if isinstance(p, str) else p for p in lambda_policies]
-    cells = [(float(alpha), scenario.weights, policy) for alpha in alphas for policy in policies]
-
-    def rows_of(real, cells):
-        return [
-            {
-                "alpha": alpha,
-                "lambda_policy": str(policy),
-                "seed": real.scenario.seed,
-                "gamma_db": o.metrics.snr_db,
-                **{col: g_db for col, (_, g_db) in zip(gain_cols, o.metrics.gains)},
-            }
-            for (alpha, _, policy), o in zip(cells, design(real, cells))
-        ]
-
-    rows = [r for per_seed in _run_cells(scenario, seeds, cells, rows_of) for r in per_seed]
+    rows = _design_rows(scenario, seeds, [
+        ({"alpha": float(alpha), "lambda_policy": str(policy)},
+         (float(alpha), scenario.weights, policy))
+        for alpha in alphas
+        for policy in policies
+    ])
     return SweepResult(
-        axis_name="alpha",
-        axis_values=tuple(float(a) for a in alphas),
-        seeds=tuple(seeds),
-        fieldnames=("alpha", "lambda_policy", "seed", "gamma_db", *gain_cols),
-        rows=tuple(rows),
+        fieldnames=("alpha", "lambda_policy", "seed", "gamma_db", *gain_cols), rows=tuple(rows)
     )
 
 
@@ -238,32 +211,16 @@ def sweep_weight_ratio(scenario: ScenarioConfig, ratios, seeds) -> SweepResult:
     """Fairness sweep over the weight ratio of a two-target scenario."""
     if len(scenario.targets) != 2:
         raise ConfigError("sweep_weight_ratio: scenario must have exactly two targets")
-    seeds = list(seeds)
     ratios = [float(r) for r in ratios]
     if any(r <= 0 for r in ratios):
         raise ConfigError("sweep_weight_ratio: ratios must be positive")
 
-    cells = [(scenario.alpha, (r / (1 + r), 1 / (1 + r)), scenario.lambda_policy) for r in ratios]
-
-    def rows_of(real, cells):
-        return [
-            {
-                "ratio": ratio,
-                "seed": real.scenario.seed,
-                "gamma_db": o.metrics.snr_db,
-                "gain_t1_db": o.metrics.gains[0][1],
-                "gain_t2_db": o.metrics.gains[1][1],
-            }
-            for ratio, o in zip(ratios, design(real, cells))
-        ]
-
-    rows = [r for per_seed in _run_cells(scenario, seeds, cells, rows_of) for r in per_seed]
+    rows = _design_rows(scenario, seeds, [
+        ({"ratio": r}, (scenario.alpha, (r / (1 + r), 1 / (1 + r)), scenario.lambda_policy))
+        for r in ratios
+    ])
     return SweepResult(
-        axis_name="ratio",
-        axis_values=tuple(float(r) for r in ratios),
-        seeds=tuple(seeds),
-        fieldnames=("ratio", "seed", "gamma_db", "gain_t1_db", "gain_t2_db"),
-        rows=tuple(rows),
+        fieldnames=("ratio", "seed", "gamma_db", "gain_t1_db", "gain_t2_db"), rows=tuple(rows)
     )
 
 
@@ -313,13 +270,7 @@ def beampattern_vs_aoa(
         for m, mean in zip(methods, means)
         for i, a in enumerate(scan)
     ]
-    return SweepResult(
-        axis_name="angle_deg",
-        axis_values=tuple(float(a) for a in scan),
-        seeds=tuple(seeds),
-        fieldnames=("angle_deg", "method", "gain_db"),
-        rows=tuple(rows),
-    )
+    return SweepResult(fieldnames=("angle_deg", "method", "gain_db"), rows=tuple(rows))
 
 
 def _probe_scenario(scenario: ScenarioConfig, n_elements: int, k_targets: int) -> ScenarioConfig:
@@ -373,7 +324,7 @@ def run_complexity_probe(
         def proposed_once():
             system = build_system(channels.h_ue, channels.a_targets, consts)
             lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
-            return solve_perturbation(system, [eta_bar], [system.scale**2 * lam])
+            return solve_perturbation(system, [eta_bar], [lam])
 
         seconds = median_seconds(proposed_once)
         rows.append({"n_elements": int(n), "method": "proposed", "median_seconds": seconds})
@@ -382,19 +333,4 @@ def run_complexity_probe(
             seconds = median_seconds(lambda: solve_sdp(problem))
             rows.append({"n_elements": int(n), "method": "sdr", "median_seconds": seconds})
 
-    return SweepResult(
-        axis_name="n_elements",
-        axis_values=tuple(int(n) for n in n_list),
-        seeds=(scenario.seed,),
-        fieldnames=("n_elements", "method", "median_seconds"),
-        rows=tuple(rows),
-    )
-
-
-def loglog_slope(result: SweepResult, method: str = "proposed") -> float:
-    """Fitted log-log slope of wall time versus element count."""
-    pts = [(r["n_elements"], r["median_seconds"]) for r in result.rows if r["method"] == method]
-    if len(pts) < 2:
-        raise ConfigError("loglog_slope: need at least two sizes")
-    n, t = np.array(pts).T
-    return float(np.polyfit(np.log(n), np.log(t), 1)[0])
+    return SweepResult(fieldnames=("n_elements", "method", "median_seconds"), rows=tuple(rows))

@@ -131,10 +131,6 @@ class PerturbationSystem:
             raise NumericalError("stacked objective does not match the complex objective")
 
     @property
-    def sigma_max(self) -> float:
-        return float(self.svd_s[0])
-
-    @property
     def sigma_max_normalized(self) -> float:
         """Largest singular value of the stack with the power scale removed."""
         return float(self.svd_s[0] / self.scale)
@@ -157,7 +153,7 @@ class SolveReport:
 
     delta_phi: np.ndarray
     objective_value: np.ndarray  # exact-beam-sum objective at the solution
-    lambda_used: np.ndarray  # ridge applied to the scaled stacked system
+    lambda_used: np.ndarray  # normalized ridge, as LambdaPolicy.normalized returns it
     max_abs_perturbation: np.ndarray
     linearization_error_bound: np.ndarray  # ||delta_phi||^2 / 2, in beam-sum units
 
@@ -198,9 +194,11 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
     """Tikhonov solves through the stored SVD, one per row of eta_bar (C, K),
     each with its own ridge lam (C,).
 
-    For a zero ridge, singular values below PINV_RCOND * sigma_max are
-    truncated (pseudo-inverse).  The reported objective uses the exact beam
-    sums, not the linearized surrogate.
+    lam is the ridge on the power-normalized stack, the value that
+    LambdaPolicy.normalized returns; the scaled stack this system factorizes
+    takes scale^2 * lam.  For a zero ridge, singular values below
+    PINV_RCOND * sigma_max are truncated (pseudo-inverse).  The reported
+    objective uses the exact beam sums, not the linearized surrogate.
     """
     eta_bar, lam = np.asarray(eta_bar, dtype=float), np.asarray(lam, dtype=float)
     b = system.b_stacked(eta_bar)
@@ -208,12 +206,13 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
         raise ShapeError("solve_perturbation: need eta_bar (C, K) and lam (C,)")
     if (lam < 0).any():
         raise ValueError("lambda must be nonnegative")
+    ridge = system.scale**2 * lam
     s = system.svd_s
     with np.errstate(divide="ignore", invalid="ignore"):
-        filt = s / (s**2 + lam[:, None])
-        if (lam == 0.0).any():
+        filt = s / (s**2 + ridge[:, None])
+        if (ridge == 0.0).any():
             cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
-            filt[lam == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
+            filt[ridge == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
 
     # a stack of C row-vector products, each rounded as it would be alone: a
     # (C, 2K) @ (2K, N) product rounds differently for different C

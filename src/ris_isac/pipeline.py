@@ -3,13 +3,6 @@
 realize() draws one fading realization and factorizes it; design() aims
 that factorization at alpha * w * N for a batch of (alpha, weights, policy)
 cells and evaluates them together in one pass of array operations.
-
-The ridge passed to the SVD solver always refers to the scaled stacked
-system.  The lambda policies, however, are defined on the power-normalized
-stack (scale divided out), so the communication/sensing trade-off they
-express does not depend on the absolute link budget; the normalized value
-is what gets reported.  The conversion between the two conventions is
-lambda_scaled = scale^2 * lambda_normalized.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ class Realization:
     channels: ChannelSet
     consts: SystemConstants
     v_comm: RisPhase
-    metrics_comm_only: Metrics
     system: PerturbationSystem
 
 
@@ -53,7 +45,6 @@ class SolveOutcome:
     realization: Realization
     report: SolveReport
     metrics: Metrics
-    lambda_normalized: float
     gain_bounds: np.ndarray
 
     @property
@@ -73,7 +64,6 @@ def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
         channels=channels,
         consts=consts,
         v_comm=v_comm,
-        metrics_comm_only=metrics_for(v_comm.v[None], channels, consts)[0],
         system=build_system(channels.h_ue, channels.a_targets, consts),
     )
 
@@ -88,15 +78,15 @@ def design(realization: Realization, cells) -> list[SolveOutcome]:
     alphas, weights, policies = zip(*cells)
     alpha = np.array(alphas, dtype=float)[:, None]
     eta_bar = eta_targets(alpha, weights, system.n_elements)
-    lam_norm = [p.normalized(a, system.sigma_max_normalized) for a, p in zip(alphas, policies)]
+    lam = [p.normalized(a, system.sigma_max_normalized) for a, p in zip(alphas, policies)]
 
     system.check_stacking(eta_bar)
-    report = solve_perturbation(system, eta_bar, system.scale**2 * np.array(lam_norm))
+    report = solve_perturbation(system, eta_bar, lam)
     v_final = compose_phase(realization.v_comm, report.delta_phi)
     metrics = metrics_for(v_final.v, realization.channels, consts)
     bounds = gain_upper_bound(alpha, weights, consts, system.n_elements)
     return [
-        SolveOutcome(realization, report[i], metrics[i], lam_norm[i], bounds[i])
+        SolveOutcome(realization, report[i], metrics[i], bounds[i])
         for i in range(len(cells))
     ]
 

@@ -232,5 +232,5 @@ def gaussian_randomization(
             ratios = np.where(floors > 0, gains / floors, np.inf)
         best = np.argmax(np.min(ratios, axis=1))
     phase = RisPhase.from_vector(candidates[best])
-    metrics = Metrics.from_linear(problem.snr_of(phase.v), problem.gains_of(phase.v))
+    (metrics,) = Metrics.from_linear([problem.snr_of(phase.v)], [problem.gains_of(phase.v)])
     return phase, metrics

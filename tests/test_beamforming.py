@@ -20,12 +20,13 @@ def test_to_db():
 
 
 def test_metrics_from_linear():
-    m = Metrics.from_linear(10.0, [1.0, 100.0])
+    m, n = Metrics.from_linear([10.0, 1.0], [[1.0, 100.0], [1e3, 0.0]])
     assert m.snr_db == pytest.approx(10.0)
     assert m.gains[1] == (100.0, pytest.approx(20.0))
+    assert n.snr_db == 0.0 and n.gains == ((1e3, pytest.approx(30.0)), (0.0, -np.inf))
     for snr, gains in ((np.nan, [1.0]), (np.inf, [1.0]), (1.0, [1.0, np.nan]), (1.0, [-np.inf])):
         with pytest.raises(NumericalError):
-            Metrics.from_linear(snr, gains)
+            Metrics.from_linear([2.0, snr], [np.ones(len(gains)), gains])
 
 
 class TestMrt:

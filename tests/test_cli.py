@@ -83,6 +83,14 @@ class TestValidate:
             ("carrier_hz", lambda d: d.update(carrier_hz=1e-300)),
             ("carrier_hz", lambda d: d.update(carrier_hz=1e308)),
             ("transmit_power_dbm", lambda d: d.update(transmit_power_dbm=3058)),
+            (
+                "targets[0]: unknown key(s): positon",
+                lambda d: d["targets"].__setitem__(
+                    0, {"weight": 0.5, "angle_deg": 65.0, "positon": [1, 2]}
+                ),
+            ),
+            ("ris_rows", lambda d: d.update(ris_rows=1e308)),
+            ("ris_rows", lambda d: d.update(ris_rows=2**63)),
         ],
         ids=[
             "nan_weight", "fractional_seed", "fractional_ris_rows", "bool_seed",
@@ -92,7 +100,8 @@ class TestValidate:
             "tiny_noise", "huge_reference_loss", "int_lambda_policy", "bool_weight",
             "string_target_angle", "bs_ris_gain_underflow", "bs_ris_gain_overflow",
             "ris_ue_gain_underflow", "ris_ue_gain_overflow", "far_apart_positions",
-            "tiny_carrier", "huge_carrier", "link_budget_overflow",
+            "tiny_carrier", "huge_carrier", "link_budget_overflow", "misspelt_target_key",
+            "float_ris_rows_overflow", "ris_rows_above_intp",
         ],
     )
     def test_invalid_value_named(self, tmp_path, scenario, capsys, field, mutate):

@@ -141,7 +141,7 @@ class TestBuildSystem:
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, 24)) for _ in range(3)]
         system = build_system(h, a_targets, toy_consts())
         eta_bar = np.array([[1.0, 2.0, 3.0], [4.0, 0.5, 7.0]])
-        lam = np.array([0.3, 0.0]) * system.sigma_max
+        lam = np.array([0.3, 0.0]) * system.sigma_max_normalized
         batch = solve_perturbation(system, eta_bar, lam)
         for i in range(2):
             alone = solve_one(build_system(h, a_targets, toy_consts()), eta_bar[i], lam[i])
@@ -204,7 +204,7 @@ class TestSolver:
             k = int(rng.integers(1, 9))
             sys_, eta_bar = random_problem(rng, n, k)
             for frac in (1e-3, 1.0, 10.0):
-                lam = frac * sys_.sigma_max
+                lam = frac * sys_.sigma_max_normalized
                 report = solve_one(sys_, eta_bar, lam)
                 a, b = sys_.a_stacked, sys_.b_stacked(eta_bar)
                 oracle = np.linalg.solve(a.T @ a + lam * np.eye(n), a.T @ b)
@@ -218,9 +218,10 @@ class TestSolver:
 
     def test_norm_decreases_with_lambda(self):
         sys_, eta_bar = random_problem(child_rng(19), 32, 2)
+        sigma = sys_.sigma_max_normalized
         norms = [
             np.linalg.norm(solve_one(sys_, eta_bar, lam).delta_phi)
-            for lam in (0.0, 0.1 * sys_.sigma_max, sys_.sigma_max, 10 * sys_.sigma_max)
+            for lam in (0.0, 0.1 * sigma, sigma, 10 * sigma)
         ]
         assert norms == sorted(norms, reverse=True)
 
@@ -231,8 +232,8 @@ class TestSolver:
 
     def test_report_fields(self):
         sys_, eta_bar = random_problem(child_rng(21), 16, 2)
-        report = solve_one(sys_, eta_bar, sys_.sigma_max)
-        assert report.lambda_used == pytest.approx(sys_.sigma_max)
+        report = solve_one(sys_, eta_bar, sys_.sigma_max_normalized)
+        assert report.lambda_used == pytest.approx(sys_.sigma_max_normalized)
         assert report.max_abs_perturbation == pytest.approx(
             np.max(np.abs(report.delta_phi))
         )

@@ -10,6 +10,12 @@ from ris_isac import (
     realize,
     solve_scenario,
 )
+from ris_isac.beamforming import metrics_for
+
+
+def comm_only_metrics(real):
+    """Metrics of the communication-optimal phases of a realization."""
+    return metrics_for(real.v_comm.v[None], real.channels, real.consts)[0]
 
 
 class TestResolveLambda:
@@ -17,31 +23,27 @@ class TestResolveLambda:
 
     def test_adaptive_alpha_zero_is_sigma_max(self, scenario):
         outcome = solve_scenario(scenario.replace(alpha=0.0))
-        assert outcome.lambda_normalized == pytest.approx(
+        assert outcome.report.lambda_used == pytest.approx(
             outcome.realization.system.sigma_max_normalized
         )
 
     def test_adaptive_alpha_one_is_zero(self, scenario):
         outcome = solve_scenario(scenario.replace(alpha=1.0))
-        assert outcome.lambda_normalized == 0.0
         assert outcome.report.lambda_used == 0.0
 
     def test_fixed_fraction(self, scenario):
         cell = scenario.replace(alpha=0.5, lambda_policy=LambdaPolicy.parse("fixed:0.1"))
         outcome = solve_scenario(cell)
-        assert outcome.lambda_normalized == pytest.approx(
-            0.1 * outcome.realization.system.sigma_max_normalized
-        )
-        # the solver-side ridge carries the power scale
+        # the solver reports the normalized ridge; the power scale stays inside it
         assert outcome.report.lambda_used == pytest.approx(
-            outcome.realization.system.scale**2 * outcome.lambda_normalized
+            0.1 * outcome.realization.system.sigma_max_normalized
         )
 
     def test_scale_invariance_of_policy(self, scenario):
         """The normalized ridge does not move with the transmit power."""
         a = solve_scenario(scenario.replace(alpha=0.5))
         b = solve_scenario(scenario.replace(alpha=0.5, transmit_power_dbm=40.0))
-        assert a.lambda_normalized == pytest.approx(b.lambda_normalized, rel=1e-12)
+        assert a.report.lambda_used == pytest.approx(b.report.lambda_used, rel=1e-12)
         np.testing.assert_allclose(a.report.delta_phi, b.report.delta_phi, rtol=1e-9)
 
 
@@ -63,12 +65,12 @@ class TestSolveScenario:
         assert o.metrics.snr_db == pytest.approx(23.382017477480485, abs=1e-9)
         sigma = o.realization.system.sigma_max_normalized
         assert sigma == pytest.approx(15.38800258951944, abs=1e-9)
-        comm_only = o.realization.metrics_comm_only
+        comm_only = comm_only_metrics(o.realization)
         assert comm_only.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
     def test_alpha_zero_keeps_comm_phase_close(self, scenario):
         o = solve_scenario(scenario.replace(alpha=0.0))
-        assert abs(o.metrics.snr_db - o.realization.metrics_comm_only.snr_db) < 0.5
+        assert abs(o.metrics.snr_db - comm_only_metrics(o.realization).snr_db) < 0.5
 
     def test_gain_bounds_respected_in_linear_sense(self, scenario):
         # exact gains can exceed the design value only through linearization error;
@@ -81,7 +83,7 @@ class TestSolveScenario:
         o = solve_scenario(scenario.replace(alpha=0.5))
         assert len(o.v_final) == scenario.n_elements
         assert o.report.max_abs_perturbation < np.pi
-        assert o.metrics.snr_linear <= o.realization.metrics_comm_only.snr_linear + 1e-9
+        assert o.metrics.snr_linear <= comm_only_metrics(o.realization).snr_linear + 1e-9
 
 
 class TestDesignBatch:
@@ -104,7 +106,7 @@ class TestDesignBatch:
             assert got.metrics == alone.metrics
             np.testing.assert_array_equal(got.report.delta_phi, alone.report.delta_phi)
             np.testing.assert_array_equal(got.v_final.phi, alone.v_final.phi)
-            assert got.lambda_normalized == alone.lambda_normalized
+            assert got.report.lambda_used == alone.report.lambda_used
             assert got.report.objective_value == alone.report.objective_value
             np.testing.assert_array_equal(got.gain_bounds, alone.gain_bounds)
         assert design(real, []) == []
