@@ -7,7 +7,7 @@ targets, benchmarked against a semidefinite-relaxation solver.
 
 __version__ = "0.1.0"
 
-from .beamforming import Metrics, SystemConstants, beampattern_gain, comm_snr_mrt
+from .beamforming import Metrics, SystemConstants
 from .channel import ArrayGeometry, ChannelSet, build_channels, child_rng
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
 from .errors import (
@@ -57,12 +57,10 @@ __all__ = [
     "SolveReport",
     "SystemConstants",
     "TargetSpec",
-    "beampattern_gain",
     "build_channels",
     "build_system",
     "child_rng",
     "comm_optimal_phase",
-    "comm_snr_mrt",
     "compose_phase",
     "design",
     "gain_upper_bound",

@@ -2,10 +2,11 @@
 
 The BS-RIS channel is rank one, so matched (maximum-ratio) transmission is
 simultaneously optimal for the communication SNR and for every beampattern
-gain.  This module holds both metrics in that factored post-MRT form.  The
-beamformer and the general pre-MRT forms are test oracles and live in
-``tests/oracles.py``.  SNR is analytic throughout: no symbols or noise are
-ever sampled.
+gain.  This module holds both metrics in that factored post-MRT form, each
+as |q^H v|^2 for a rank-one factor q; beam_factors builds the factors and
+beam_gains evaluates them.  The beamformer, the BS-side steering and the
+general pre-MRT forms are test oracles and live in ``tests/oracles.py``.
+SNR is analytic throughout: no symbols or noise are ever sampled.
 """
 
 from __future__ import annotations
@@ -87,28 +88,32 @@ def to_db(x):
     return db if db.ndim else float(db)
 
 
-def comm_snr_mrt(
-    v: np.ndarray, h_ue: np.ndarray, g_ris: np.ndarray, consts: SystemConstants
-) -> np.ndarray:
-    """SNR after plugging in the matched beamformer, for phases (N,) or a batch (..., N)."""
-    if not (np.shape(v)[-1] == len(h_ue) == len(g_ris)):
-        raise ShapeError("comm_snr_mrt: length mismatch")
-    s = np.sum(np.conj(h_ue) * np.conj(v) * g_ris, axis=-1)  # h^H diag(v^H) g_ris
-    return consts.gain_prefactor / consts.noise_power_w * np.abs(s) ** 2
+def beam_factors(steering: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -> np.ndarray:
+    """Rank-one factors sqrt(P*beta_g*M) * g_ris * conj(s) of the gain toward each
+    steering row s (..., N): the gain of phases v toward s is |q^H v|^2."""
+    if np.shape(steering)[-1] != len(g_ris):
+        raise ShapeError("beam_factors: length mismatch")
+    return np.sqrt(consts.gain_prefactor) * g_ris * np.conj(steering)
 
 
-def beampattern_gain(
-    v: np.ndarray, a_target: np.ndarray, g_ris: np.ndarray, consts: SystemConstants
-) -> np.ndarray:
-    """Beampattern gain (factored post-MRT form); v and a_target broadcast over leading axes."""
-    if not (np.shape(v)[-1] == np.shape(a_target)[-1] == len(g_ris)):
-        raise ShapeError("beampattern_gain: length mismatch")
-    s = np.sum(np.conj(a_target) * np.conj(v) * g_ris, axis=-1)
-    return consts.gain_prefactor * np.abs(s) ** 2
+def beam_gains(v: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """|q_r^H v|^2 for each factor row q_r of (R, N), for phases (N,) or a batch (C, N)."""
+    if np.ndim(factors) != 2 or np.shape(v)[-1] != np.shape(factors)[-1]:
+        raise ShapeError("beam_gains: need factors (R, N) and phases (..., N)")
+    # a stack of row-vector products, each rounded as it would be alone: a
+    # (C, N) @ (N, R) product rounds differently for different C
+    return np.abs((v[..., None, :] @ np.conj(factors).T)[..., 0, :]) ** 2
+
+
+def metric_factors(channels: ChannelSet, consts: SystemConstants) -> np.ndarray:
+    """Factors (1 + K, N) of one realization: the SNR row, which also carries
+    1/sqrt(noise power), then one gain row per target."""
+    factors = beam_factors(np.vstack([channels.h_ue, channels.a_targets]), channels.g_ris, consts)
+    factors[0] /= np.sqrt(consts.noise_power_w)
+    return factors
 
 
 def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) -> list[Metrics]:
     """Evaluate both metrics for each row of a batch of RIS phase vectors (C, N)."""
-    snr = comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts)
-    gains = beampattern_gain(v[:, None, :], np.asarray(channels.a_targets), channels.g_ris, consts)
-    return Metrics.from_linear(snr, gains)
+    scores = beam_gains(v, metric_factors(channels, consts))
+    return Metrics.from_linear(scores[:, 0], scores[:, 1:])

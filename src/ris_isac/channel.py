@@ -1,9 +1,9 @@
 """Deterministic and random channel quantities.
 
-Steering vectors for the BS uniform linear array and the RIS uniform planar
-array, dB-to-linear path losses, and the Rician RIS-to-user channel.  Angles
-are measured at each array from the global +x axis (atan2 convention); the
-config layer accepts degrees, everything here is radians.
+Steering vectors of the RIS uniform planar array, dB-to-linear path losses,
+and the Rician RIS-to-user channel.  Angles are measured at each array from
+the global +x axis (atan2 convention); the config layer accepts degrees,
+everything here is radians.
 
 The RIS element index n runs 0..N-1 with horizontal index n_H = n mod N_H
 and vertical index n_V = n // N_H.  The per-element offsets are centered
@@ -40,11 +40,9 @@ def child_rng(root_seed: int, *indices: int) -> Rng:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element counts of the BS array and the RIS; both arrays are spaced at
-    half a wavelength."""
+    """Carrier and element counts of the RIS, spaced at half a wavelength."""
 
     carrier_hz: float
-    bs_antennas: int
     ris_cols: int  # N_H
     ris_rows: int  # N_V
 
@@ -58,14 +56,13 @@ class ArrayGeometry:
 
     @property
     def spacing(self) -> float:
-        """Half-wavelength element spacing of both arrays, in meters."""
+        """Half-wavelength element spacing, in meters."""
         return SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
 
     @classmethod
     def from_scenario(cls, scenario: ScenarioConfig) -> "ArrayGeometry":
         return cls(
             carrier_hz=scenario.carrier_hz,
-            bs_antennas=scenario.bs_antennas,
             ris_cols=scenario.ris_cols,
             ris_rows=scenario.ris_rows,
         )
@@ -78,15 +75,6 @@ def angle_from_positions(origin, point) -> float:
     if dx == 0.0 and dy == 0.0:
         raise DegenerateGeometry(f"coincident positions {tuple(origin)}")
     return float(np.arctan2(dy, dx))
-
-
-def bs_steering(m_antennas: int, theta_tx: float, geom: ArrayGeometry) -> np.ndarray:
-    """BS array response for a departure angle; entries are unit modulus."""
-    if m_antennas < 1:
-        raise DegenerateGeometry("bs_steering: need at least one antenna")
-    m = np.arange(1, m_antennas + 1)
-    phase = geom.wavenumber * (m - (m_antennas + 1) / 2.0) * geom.spacing * np.cos(theta_tx)
-    return np.exp(1j * phase)
 
 
 def _ris_offsets(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -160,16 +148,12 @@ def rician_user_channel(
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All channel quantities for one scenario realization."""
+    """The RIS-side channel quantities of one scenario realization."""
 
     beta_g: float
-    beta_ue: float
-    g_bs: np.ndarray  # BS-side steering, length M
     g_ris: np.ndarray  # RIS-side steering of the BS-RIS link, length N
     h_ue: np.ndarray  # Rician RIS-user channel, length N
     a_targets: tuple[np.ndarray, ...]  # per-target RIS steering, each length N
-    theta_tx: float
-    theta_targets: tuple[float, ...]
 
 
 def target_angle(scenario: ScenarioConfig, index: int) -> float:
@@ -185,23 +169,18 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     geom = ArrayGeometry.from_scenario(scenario)
     beta_g, beta_ue = path_gains(scenario)
 
-    theta_tx = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
+    theta_link = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)
-    theta_targets = tuple(target_angle(scenario, k) for k in range(len(scenario.targets)))
+    target_thetas = [target_angle(scenario, k) for k in range(len(scenario.targets))]
 
-    g_bs = bs_steering(scenario.bs_antennas, theta_tx, geom)
-    g_ris = ris_steering_tx(geom, theta_tx)
+    g_ris = ris_steering_tx(geom, theta_link)
     a_ue = ris_steering_rx(geom, theta_ue)
     h_ue = rician_user_channel(a_ue, scenario.rician_kappa, beta_ue, rng)
-    a_targets = tuple(ris_steering_rx(geom, th) for th in theta_targets)
+    a_targets = tuple(ris_steering_rx(geom, th) for th in target_thetas)
 
     return ChannelSet(
         beta_g=beta_g,
-        beta_ue=beta_ue,
-        g_bs=g_bs,
         g_ris=g_ris,
         h_ue=h_ue,
         a_targets=a_targets,
-        theta_tx=theta_tx,
-        theta_targets=theta_targets,
     )

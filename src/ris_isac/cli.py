@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .beamforming import to_db
 from .config import LambdaPolicy, ScenarioConfig, default_scenario_path
 from .errors import (
     CapExceeded,
@@ -29,6 +28,7 @@ from .errors import (
     NumericalError,
     RisIsacError,
 )
+from .perturb import gain_upper_bound
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -156,7 +156,9 @@ def cmd_solve(args) -> int:
     outcome = solve_scenario(scenario)
 
     print(f"gamma_db={outcome.metrics.snr_db:.6f}")
-    gain_ub_db = to_db(outcome.gain_bounds)
+    gain_ub_db = gain_upper_bound(
+        scenario.alpha, scenario.weights, outcome.realization.consts, scenario.n_elements, db=True
+    )
     for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains, gain_ub_db), 1):
         print(f"gain_t{k}_db={g_db:.6f} gain_ub_t{k}_db={ub_db:.6f}")
     print(f"lambda={outcome.report.lambda_used:.9g}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SystemConstants, to_db
+from .beamforming import SystemConstants, beam_factors, beam_gains, to_db
 from .channel import (
     ArrayGeometry,
     angle_from_positions,
@@ -121,13 +121,12 @@ def _method_phase(real, method):
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
     """Seed-mean beampattern gain (dB) toward each steering row, one per method."""
-    steering_h = np.conj(steering)
 
-    def pattern(real, method):
-        sums = steering_h @ (np.conj(_method_phase(real, method).v) * real.channels.g_ris)
-        return to_db(real.consts.gain_prefactor * np.abs(sums) ** 2)
+    def patterns(real, methods):
+        factors = beam_factors(steering, real.channels.g_ris, real.consts)
+        return [to_db(beam_gains(_method_phase(real, m).v, factors)) for m in methods]
 
-    results = _run_cells(scenario, seeds, methods, lambda real, ms: [pattern(real, m) for m in ms])
+    results = _run_cells(scenario, seeds, methods, patterns)
     # a running total in seed order; np.sum's pairwise order would move the last bits
     return [sum(per_seed, np.zeros(len(steering))) / len(seeds) for per_seed in results]
 

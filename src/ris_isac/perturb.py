@@ -11,8 +11,9 @@ target k is exactly
     eta_k(delta_phi) = sum_n exp(j*(ang(h_n) - ang(a_k_n))) * exp(-j*delta_phi_n),
 
 so the physical beampattern gain equals P*M*beta_g*|eta_k|^2 with no
-approximation.  All reported metrics use this exact form; the linearization
-exists only inside the solver.
+approximation.  The solver's objective and Taylor-bound check use this exact
+form, the metrics use beamforming.beam_gains, and the linearization exists
+only inside the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SystemConstants
+from .beamforming import SystemConstants, to_db
 from .errors import ConfigError, IllPosedWarning, NumericalError, ShapeError
 
 PINV_RCOND = 1e-12  # relative cutoff for the lambda=0 pseudo-inverse
@@ -243,7 +244,13 @@ def compose_phase(v_star: RisPhase, delta_phi: np.ndarray) -> RisPhase:
     return RisPhase(v_star.phi + np.asarray(delta_phi, dtype=float))
 
 
-def gain_upper_bound(alpha, weights, consts: SystemConstants, n_elements: int) -> np.ndarray:
-    """Per-target ceiling on the beampattern gain, in linear units; batches as eta_targets."""
-    eta = eta_targets(alpha, np.atleast_1d(weights), n_elements)
-    return consts.gain_prefactor * np.abs(eta) ** 2
+def gain_upper_bound(alpha, weights, consts: SystemConstants, n_elements: int, db=False):
+    """Per-target ceiling P*beta_g*M*(alpha*w_k*N)^2 on the beampattern gain; batches as
+    eta_targets.  With db=True it is a sum of logs in dB, which no underflow of the
+    product reaches: it is -inf only where alpha or w_k is 0."""
+    weights = np.atleast_1d(weights)
+    eta = eta_targets(alpha, weights, n_elements)  # also checks the weights
+    prefactor = consts.gain_prefactor
+    if db:
+        return to_db(prefactor) + 2.0 * (to_db(alpha) + to_db(weights) + to_db(n_elements))
+    return prefactor * np.abs(eta) ** 2

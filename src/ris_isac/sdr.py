@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import Metrics, SystemConstants
+from .beamforming import Metrics, SystemConstants, beam_gains, metric_factors
 from .channel import ChannelSet, Rng
 from .errors import ConfigError, Infeasible, NonConvergence, NumericalError
 from .perturb import RisPhase, gain_upper_bound
@@ -44,26 +44,14 @@ class SdpProblem:
     def from_channels(
         cls, channels: ChannelSet, consts: SystemConstants, alpha: float, weights
     ) -> "SdpProblem":
-        """Factors sqrt(P*beta_g*M) * conj(a) * g of one realization, with the
-        gain ceilings as floors; the SNR factor also divides by the noise power."""
-        root = np.sqrt(consts.gain_prefactor) * channels.g_ris
-        return cls(
-            q_ue=root * np.conj(channels.h_ue) / np.sqrt(consts.noise_power_w),
-            q_targets=root * np.conj(np.asarray(channels.a_targets)),
-            desired_gains=gain_upper_bound(alpha, weights, consts, len(channels.h_ue)),
-        )
+        """The metric factors of one realization, with the gain ceilings as floors."""
+        factors = metric_factors(channels, consts)
+        floors = gain_upper_bound(alpha, weights, consts, factors.shape[1])
+        return cls(q_ue=factors[0], q_targets=factors[1:], desired_gains=floors)
 
     @property
     def n_elements(self) -> int:
         return self.q_ue.shape[0]
-
-    def snr_of(self, v: np.ndarray) -> np.ndarray:
-        """SNR of one phase vector (N,) or of each row of a batch (T, N)."""
-        return np.abs(v @ np.conj(self.q_ue)) ** 2
-
-    def gains_of(self, v: np.ndarray) -> np.ndarray:
-        """Gains (K,) of one phase vector, or (T, K) for a batch of rows."""
-        return np.abs(v @ np.conj(self.q_targets).T) ** 2
 
 
 @dataclass(frozen=True)
@@ -210,7 +198,7 @@ def gaussian_randomization(
     projected entrywise to unit modulus.  Among candidates meeting every
     gain floor within the given relative slack, the one with the best SNR
     wins; if none qualifies, the candidate with the best worst-case
-    floor ratio is returned.
+    floor ratio is returned.  The Metrics are the scores it was chosen by.
     """
     if trials < 1:
         raise ConfigError("gaussian_randomization: trials must be >= 1")
@@ -221,16 +209,16 @@ def gaussian_randomization(
     draws = rng.standard_normal((trials, 2, problem.n_elements))
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     candidates = np.exp(1j * np.angle(noise @ chol_like.T))
-    gains = problem.gains_of(candidates)
+    scores = beam_gains(candidates, np.vstack([problem.q_ue, problem.q_targets]))
+    snr, gains = scores[:, 0], scores[:, 1:]
     floors = np.asarray(problem.desired_gains, dtype=float)
     feasible = np.all(gains >= (1.0 - slack) * floors, axis=1)
     if np.any(feasible):
         # argmax keeps the first of equal scores, as a strict "better" test would
-        best = np.argmax(np.where(feasible, problem.snr_of(candidates), -np.inf))
+        best = np.argmax(np.where(feasible, snr, -np.inf))
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(floors > 0, gains / floors, np.inf)
         best = np.argmax(np.min(ratios, axis=1))
-    phase = RisPhase.from_vector(candidates[best])
-    (metrics,) = Metrics.from_linear([problem.snr_of(phase.v)], [problem.gains_of(phase.v)])
-    return phase, metrics
+    (metrics,) = Metrics.from_linear(snr[[best]], gains[[best]])
+    return RisPhase.from_vector(candidates[best]), metrics

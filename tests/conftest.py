@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import bs_steering_for
 
 from ris_isac import (
     SystemConstants,
@@ -23,6 +24,12 @@ def small_scenario(scenario):
 @pytest.fixture(scope="session")
 def channels(scenario):
     return build_channels(scenario, child_rng(scenario.seed, 0))
+
+
+@pytest.fixture(scope="session")
+def g_bs(scenario):
+    """BS-side steering of the shipped scenario, a pre-MRT oracle quantity."""
+    return bs_steering_for(scenario)
 
 
 @pytest.fixture(scope="session")

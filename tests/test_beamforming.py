@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from oracles import beampattern_gain_general, comm_snr_general, mrt_beamformer
-from ris_isac import (
-    SystemConstants,
-    beampattern_gain,
-    child_rng,
-    comm_optimal_phase,
-    comm_snr_mrt,
+from ris_isac import child_rng, comm_optimal_phase
+from ris_isac.beamforming import (
+    Metrics,
+    beam_factors,
+    beam_gains,
+    metric_factors,
+    metrics_for,
+    to_db,
 )
-from ris_isac.beamforming import Metrics, metrics_for, to_db
 from ris_isac.errors import DegenerateGeometry, NumericalError, ShapeError
 
 
@@ -30,24 +31,24 @@ def test_metrics_from_linear():
 
 
 class TestMrt:
-    def test_power_budget(self, channels):
-        w = mrt_beamformer(channels.g_bs, 2.0)
+    def test_power_budget(self, g_bs):
+        w = mrt_beamformer(g_bs, 2.0)
         assert np.linalg.norm(w) ** 2 == pytest.approx(2.0)
 
     def test_zero_vector(self):
         with pytest.raises(DegenerateGeometry):
             mrt_beamformer(np.zeros(3, dtype=complex), 1.0)
 
-    def test_mrt_maximizes_both_metrics(self, channels, consts):
+    def test_mrt_maximizes_both_metrics(self, channels, consts, g_bs):
         """Random unit-power beamformers never beat the matched one."""
         v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
-        w_star = mrt_beamformer(channels.g_bs, consts.transmit_power_w)
+        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
         snr_star = comm_snr_general(
-            w_star, channels.beta_g, channels.g_bs, channels.g_ris,
+            w_star, channels.beta_g, g_bs, channels.g_ris,
             channels.h_ue, v, consts.noise_power_w,
         )
         gain_star = beampattern_gain_general(
-            w_star, channels.beta_g, channels.g_bs, channels.g_ris, v,
+            w_star, channels.beta_g, g_bs, channels.g_ris, v,
             channels.a_targets[0],
         )
         rng = child_rng(42)
@@ -55,11 +56,11 @@ class TestMrt:
             w = rng.standard_normal(11) + 1j * rng.standard_normal(11)
             w *= np.sqrt(consts.transmit_power_w) / np.linalg.norm(w)
             snr = comm_snr_general(
-                w, channels.beta_g, channels.g_bs, channels.g_ris,
+                w, channels.beta_g, g_bs, channels.g_ris,
                 channels.h_ue, v, consts.noise_power_w,
             )
             gain = beampattern_gain_general(
-                w, channels.beta_g, channels.g_bs, channels.g_ris, v,
+                w, channels.beta_g, g_bs, channels.g_ris, v,
                 channels.a_targets[0],
             )
             assert snr <= snr_star + 1e-9
@@ -67,43 +68,62 @@ class TestMrt:
 
 
 class TestFactoredForms:
-    def test_snr_general_matches_factored(self, channels, consts):
-        """The unfactored SNR with the matched beamformer equals the closed form."""
+    def test_snr_general_matches_factored(self, channels, consts, g_bs):
+        """The unfactored SNR with the matched beamformer equals the SNR row of
+        the metric factors."""
         rng = child_rng(7)
-        w_star = mrt_beamformer(channels.g_bs, consts.transmit_power_w)
+        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+        factors = metric_factors(channels, consts)
         for _ in range(10):
             v = np.exp(1j * rng.uniform(-np.pi, np.pi, 441))
             general = comm_snr_general(
-                w_star, channels.beta_g, channels.g_bs, channels.g_ris,
+                w_star, channels.beta_g, g_bs, channels.g_ris,
                 channels.h_ue, v, consts.noise_power_w,
             )
-            factored = comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts)
+            factored = beam_gains(v, factors)[0]
             assert general == pytest.approx(factored, rel=1e-10)
 
-    def test_gain_general_matches_factored(self, channels, consts):
+    def test_gain_general_matches_factored(self, channels, consts, g_bs):
+        """The unfactored gain with the matched beamformer equals beam_gains on
+        beam_factors, and the target rows of the metric factors."""
         rng = child_rng(8)
-        w_star = mrt_beamformer(channels.g_bs, consts.transmit_power_w)
+        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+        factors = beam_factors(np.asarray(channels.a_targets), channels.g_ris, consts)
+        rows = metric_factors(channels, consts)[1:]
         for _ in range(10):
             v = np.exp(1j * rng.uniform(-np.pi, np.pi, 441))
-            general = beampattern_gain_general(
-                w_star, channels.beta_g, channels.g_bs, channels.g_ris, v,
-                channels.a_targets[1],
-            )
-            factored = beampattern_gain(v, channels.a_targets[1], channels.g_ris, consts)
-            assert general == pytest.approx(factored, rel=1e-10)
+            general = [
+                beampattern_gain_general(w_star, channels.beta_g, g_bs, channels.g_ris, v, a)
+                for a in channels.a_targets
+            ]
+            np.testing.assert_allclose(beam_gains(v, factors), general, rtol=1e-10)
+            np.testing.assert_allclose(beam_gains(v, rows), general, rtol=1e-10)
 
     def test_shape_checks(self, channels, consts):
         with pytest.raises(ShapeError):
-            comm_snr_mrt(np.ones(3), channels.h_ue, channels.g_ris, consts)
+            beam_factors(np.ones(3), channels.g_ris, consts)
+        factors = beam_factors(np.asarray(channels.a_targets), channels.g_ris, consts)
         with pytest.raises(ShapeError):
-            beampattern_gain(np.ones(3), channels.a_targets[0], channels.g_ris, consts)
+            beam_gains(np.ones(3), factors)
+        with pytest.raises(ShapeError):
+            beam_gains(np.ones(441), factors[0])
+
+    def test_row_alone_equals_row_in_batch(self, channels, consts):
+        """beam_gains of one phase vector is bit-equal to its row in a batch of 33."""
+        rng = child_rng(9)
+        batch = np.exp(1j * rng.uniform(-np.pi, np.pi, (33, 441)))
+        factors = metric_factors(channels, consts)
+        together = beam_gains(batch, factors)
+        for i in (0, 16, 32):
+            np.testing.assert_array_equal(beam_gains(batch[i], factors), together[i])
+            np.testing.assert_array_equal(beam_gains(batch[i : i + 1], factors)[0], together[i])
 
 
 class TestOracleValues:
     def test_comm_optimal_snr_frozen(self, channels, consts):
         """Closed-form SNR of the aligned phases for the pinned realization."""
         v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
-        snr_db = to_db(comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts))
+        snr_db = to_db(beam_gains(v, metric_factors(channels, consts))[0])
         assert snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
     def test_aligned_sum_is_sum_of_moduli(self, channels, consts):

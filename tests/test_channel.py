@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bs_steering
 from ris_isac import ArrayGeometry, DegenerateGeometry, build_channels, child_rng
 from ris_isac.channel import (
     SPEED_OF_LIGHT,
     angle_from_positions,
-    bs_steering,
+    path_gains,
     path_loss_linear,
     rician_user_channel,
     ris_steering_rx,
     ris_steering_tx,
+    target_angle,
 )
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 
 
-def geom(cols=4, rows=3, m=5, f=10e9):
-    return ArrayGeometry(carrier_hz=f, bs_antennas=m, ris_cols=cols, ris_rows=rows)
+def geom(cols=4, rows=3, f=10e9):
+    return ArrayGeometry(carrier_hz=f, ris_cols=cols, ris_rows=rows)
 
 
 class TestChildRng:
@@ -51,7 +53,7 @@ class TestGeometry:
 class TestSteering:
     @given(theta=angles, m=st.integers(min_value=1, max_value=16))
     def test_bs_steering_unit_modulus(self, theta, m):
-        v = bs_steering(m, theta, geom(m=m))
+        v = bs_steering(m, theta, geom())
         assert v.shape == (m,)
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
 
@@ -82,7 +84,7 @@ class TestSteering:
         np.testing.assert_allclose(v[5] / v[1], row_step, atol=1e-12)
 
     def test_single_antenna(self):
-        np.testing.assert_allclose(np.abs(bs_steering(1, 0.7, geom(m=1))), 1.0)
+        np.testing.assert_allclose(np.abs(bs_steering(1, 0.7, geom())), 1.0)
 
 
 class TestPathLoss:
@@ -121,15 +123,17 @@ class TestRician:
 
 
 class TestBuildChannels:
-    def test_shapes_and_values(self, scenario, channels):
-        assert channels.g_bs.shape == (11,)
+    def test_shapes_and_values(self, scenario, channels, g_bs):
+        assert g_bs.shape == (11,)
         assert channels.g_ris.shape == (441,)
         assert channels.h_ue.shape == (441,)
         assert len(channels.a_targets) == 2
-        assert channels.theta_tx == pytest.approx(np.pi / 4)
-        assert channels.theta_targets == tuple(np.deg2rad([65.0, 90.0]))
+        assert angle_from_positions(scenario.bs_pos, scenario.ris_pos) == pytest.approx(np.pi / 4)
+        assert (target_angle(scenario, 0), target_angle(scenario, 1)) == tuple(
+            np.deg2rad([65.0, 90.0])
+        )
         assert channels.beta_g == pytest.approx(2.625428796375616e-07)
-        assert channels.beta_ue == pytest.approx(1.4570026790857404e-08)
+        assert path_gains(scenario)[1] == pytest.approx(1.4570026790857404e-08)
 
     def test_deterministic(self, scenario):
         c1 = build_channels(scenario, child_rng(scenario.seed, 0))

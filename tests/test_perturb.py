@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import beampattern_gain_general, mrt_beamformer
 from ris_isac import (
     ConfigError,
     LambdaPolicy,
     SystemConstants,
-    beampattern_gain,
     build_system,
     child_rng,
     comm_optimal_phase,
@@ -68,16 +68,20 @@ class TestRisPhase:
 
 
 class TestEta:
-    def test_exact_gain_identity(self, channels, consts):
-        """Beampattern gain of the composed phases equals the exact beam-sum form."""
+    def test_exact_gain_identity(self, channels, consts, g_bs):
+        """The pre-MRT gain of the composed phases under the matched beamformer
+        equals the exact beam-sum form."""
         rng = child_rng(11)
         v_star = comm_optimal_phase(channels.h_ue, channels.g_ris)
         sys_ = build_system(channels.h_ue, channels.a_targets, consts)
+        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
         for _ in range(20):
             dphi = rng.uniform(-0.5, 0.5, 441)
             v = compose_phase(v_star, dphi)
             for a, eta in zip(channels.a_targets, sys_.eta_exact_all(dphi)):
-                gain = beampattern_gain(v.v, a, channels.g_ris, consts)
+                gain = beampattern_gain_general(
+                    w_star, channels.beta_g, g_bs, channels.g_ris, v.v, a
+                )
                 assert gain == pytest.approx(consts.gain_prefactor * abs(eta) ** 2, rel=1e-9)
 
     def test_linearized_matches_exact_at_zero(self, channels, consts):
@@ -255,11 +259,19 @@ class TestCompose:
 
 
 class TestGainUpperBound:
-    def test_value(self):
+    def test_value(self, consts):
         c = toy_consts(p=2.0, m=3, beta=0.5)
         ub = gain_upper_bound(0.5, (0.5, 0.5), c, 100)
         # P*beta*M*(alpha*zeta*N)^2 = 2*0.5*3*(25)^2
         np.testing.assert_allclose(ub, [1875.0, 1875.0])
+        ub_db = gain_upper_bound(0.5, (0.5, 0.5), c, 100, db=True)
+        np.testing.assert_allclose(ub_db, 10.0 * np.log10([1875.0, 1875.0]), rtol=1e-14)
+        # on the shipped scenario the linear ceiling underflows below alpha ~ 4e-162
+        # (to -3233.06 dB at 5e-162 and to -inf at 3e-162); the dB form does not
+        for alpha, want in ((5e-162, -3234.546499), (3e-162, -3238.983474), (0.0, -np.inf)):
+            got = gain_upper_bound(alpha, (0.5, 0.5), consts, 441, db=True)
+            np.testing.assert_allclose(got, [want, want], rtol=0.0, atol=5e-7)
+        assert gain_upper_bound(0.5, (1.0, 0.0), c, 100, db=True)[1] == -np.inf
 
     def test_increasing_in_alpha(self):
         c = toy_consts()

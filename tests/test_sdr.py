@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import beampattern_gain_general, bs_steering_for, comm_snr_general, mrt_beamformer
 from ris_isac import (
     ConfigError,
     Infeasible,
     NonConvergence,
     SdpProblem,
     SystemConstants,
-    beampattern_gain,
     build_channels,
     child_rng,
-    comm_snr_mrt,
     gaussian_randomization,
     solve_sdp,
 )
+from ris_isac.beamforming import beam_gains
 from ris_isac.sdr import psd_project
 
 
@@ -26,6 +26,12 @@ def small_problem(small_scenario):
         channels, consts, small_scenario.alpha, small_scenario.weights
     )
     return problem, channels, consts
+
+
+def snr_and_gains(problem, v):
+    """SNR and gains (K,) of one phase vector, or of each row of a batch, from the factors."""
+    scores = beam_gains(v, np.vstack([problem.q_ue, problem.q_targets]))
+    return scores[..., 0], scores[..., 1:]
 
 
 def random_hermitian(rng, n):
@@ -62,19 +68,27 @@ class TestPsdProject:
 
 
 class TestPsiMatrices:
-    def test_trace_forms_match_metrics(self, small_problem):
-        """v^H Psi v reproduces the closed-form SNR and gains."""
+    def test_trace_forms_match_metrics(self, small_scenario, small_problem):
+        """|q^H v|^2 on the problem's factors reproduces the pre-MRT SNR and
+        gains under the matched beamformer."""
         problem, channels, consts = small_problem
+        g_bs = bs_steering_for(small_scenario)
+        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
         rng = child_rng(4)
         for _ in range(10):
             v = np.exp(1j * rng.uniform(-np.pi, np.pi, problem.n_elements))
-            assert problem.snr_of(v) == pytest.approx(
-                comm_snr_mrt(v, channels.h_ue, channels.g_ris, consts), rel=1e-10
+            snr, gains = snr_and_gains(problem, v)
+            assert snr == pytest.approx(
+                comm_snr_general(
+                    w_star, channels.beta_g, g_bs, channels.g_ris, channels.h_ue, v,
+                    consts.noise_power_w,
+                ),
+                rel=1e-10,
             )
-            gains = problem.gains_of(v)
             for g, a in zip(gains, channels.a_targets):
                 assert g == pytest.approx(
-                    beampattern_gain(v, a, channels.g_ris, consts), rel=1e-10
+                    beampattern_gain_general(w_star, channels.beta_g, g_bs, channels.g_ris, v, a),
+                    rel=1e-10,
                 )
 
 
@@ -99,8 +113,9 @@ class TestSolveSdp:
         slack = 1e-3 * sol.relaxed_objective
         for _ in range(50):
             v = np.exp(1j * rng.uniform(-np.pi, np.pi, problem.n_elements))
-            if np.all(problem.gains_of(v) >= problem.desired_gains):
-                assert problem.snr_of(v) <= sol.relaxed_objective + slack
+            snr, gains = snr_and_gains(problem, v)
+            if np.all(gains >= problem.desired_gains):
+                assert snr <= sol.relaxed_objective + slack
 
     def test_values_match_dense_trace_forms(self, small_problem):
         """The reported objective and residuals equal tr(Z psi) with each psi
@@ -183,7 +198,7 @@ class TestRandomization:
         for _ in range(trials):
             noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
             v = np.exp(1j * np.angle(factor @ noise))
-            gains, snr = problem.gains_of(v), problem.snr_of(v)
+            snr, gains = snr_and_gains(problem, v)
             worst = np.min(gains / floors)
             if np.all(gains >= (1.0 - slack) * floors):
                 if best_feasible is None or snr > best_feasible[0]:
