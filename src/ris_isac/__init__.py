@@ -7,7 +7,7 @@ targets, benchmarked against a semidefinite-relaxation solver.
 
 __version__ = "0.1.0"
 
-from .beamforming import Metrics, SystemConstants
+from .beamforming import Metrics
 from .channel import ArrayGeometry, ChannelSet, build_channels, child_rng
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
 from .errors import (
@@ -55,7 +55,6 @@ __all__ = [
     "ShapeError",
     "SolveOutcome",
     "SolveReport",
-    "SystemConstants",
     "TargetSpec",
     "build_channels",
     "build_system",

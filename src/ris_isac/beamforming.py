@@ -3,9 +3,11 @@
 The BS-RIS channel is rank one, so matched (maximum-ratio) transmission is
 simultaneously optimal for the communication SNR and for every beampattern
 gain.  This module holds both metrics in that factored post-MRT form, each
-as |q^H v|^2 for a rank-one factor q; beam_factors builds the factors and
-beam_gains evaluates them.  The beamformer, the BS-side steering and the
-general pre-MRT forms are test oracles and live in ``tests/oracles.py``.
+as |q^H v|^2 for a rank-one factor q; beam_factors builds the factors from
+one realization's ChannelSet, which carries the link gain P*beta_g*M and the
+noise power, and beam_gains evaluates them.  The beamformer, the BS-side
+steering and the general pre-MRT forms are test oracles and live in
+``tests/oracles.py``.
 SNR is analytic throughout: no symbols or noise are ever sampled.
 """
 
@@ -15,41 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
 from .channel import ChannelSet
 from .errors import NumericalError, ShapeError
-
-
-@dataclass(frozen=True)
-class SystemConstants:
-    """Scalars entering the factored metric forms."""
-
-    transmit_power_w: float
-    noise_power_w: float
-    beta_g: float
-    bs_antennas: int
-
-    def __post_init__(self):
-        if self.transmit_power_w <= 0 or self.noise_power_w <= 0:
-            raise ValueError("powers must be positive")
-        if self.beta_g <= 0:
-            raise ValueError("beta_g must be positive")
-        if self.bs_antennas < 1:
-            raise ValueError("bs_antennas must be >= 1")
-
-    @classmethod
-    def from_scenario(cls, scenario: ScenarioConfig, channels: ChannelSet) -> "SystemConstants":
-        return cls(
-            transmit_power_w=scenario.transmit_power_w,
-            noise_power_w=scenario.noise_power_w,
-            beta_g=channels.beta_g,
-            bs_antennas=scenario.bs_antennas,
-        )
-
-    @property
-    def gain_prefactor(self) -> float:
-        """P*beta_g*M; divided by the noise power it is the SNR prefactor."""
-        return self.transmit_power_w * self.beta_g * self.bs_antennas
 
 
 @dataclass(frozen=True)
@@ -88,12 +57,12 @@ def to_db(x):
     return db if db.ndim else float(db)
 
 
-def beam_factors(steering: np.ndarray, g_ris: np.ndarray, consts: SystemConstants) -> np.ndarray:
+def beam_factors(steering: np.ndarray, channels: ChannelSet) -> np.ndarray:
     """Rank-one factors sqrt(P*beta_g*M) * g_ris * conj(s) of the gain toward each
     steering row s (..., N): the gain of phases v toward s is |q^H v|^2."""
-    if np.shape(steering)[-1] != len(g_ris):
+    if np.shape(steering)[-1] != len(channels.g_ris):
         raise ShapeError("beam_factors: length mismatch")
-    return np.sqrt(consts.gain_prefactor) * g_ris * np.conj(steering)
+    return np.sqrt(channels.gain_prefactor) * channels.g_ris * np.conj(steering)
 
 
 def beam_gains(v: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -105,15 +74,15 @@ def beam_gains(v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return np.abs((v[..., None, :] @ np.conj(factors).T)[..., 0, :]) ** 2
 
 
-def metric_factors(channels: ChannelSet, consts: SystemConstants) -> np.ndarray:
+def metric_factors(channels: ChannelSet) -> np.ndarray:
     """Factors (1 + K, N) of one realization: the SNR row, which also carries
     1/sqrt(noise power), then one gain row per target."""
-    factors = beam_factors(np.vstack([channels.h_ue, channels.a_targets]), channels.g_ris, consts)
-    factors[0] /= np.sqrt(consts.noise_power_w)
+    factors = beam_factors(np.vstack([channels.h_ue, channels.a_targets]), channels)
+    factors[0] /= np.sqrt(channels.noise_power_w)
     return factors
 
 
-def metrics_for(v: np.ndarray, channels: ChannelSet, consts: SystemConstants) -> list[Metrics]:
+def metrics_for(v: np.ndarray, channels: ChannelSet) -> list[Metrics]:
     """Evaluate both metrics for each row of a batch of RIS phase vectors (C, N)."""
-    scores = beam_gains(v, metric_factors(channels, consts))
+    scores = beam_gains(v, metric_factors(channels))
     return Metrics.from_linear(scores[:, 0], scores[:, 1:])

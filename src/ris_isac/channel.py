@@ -1,9 +1,11 @@
 """Deterministic and random channel quantities.
 
 Steering vectors of the RIS uniform planar array, dB-to-linear path losses,
-and the Rician RIS-to-user channel.  Angles are measured at each array from
-the global +x axis (atan2 convention); the config layer accepts degrees,
-everything here is radians.
+and the Rician RIS-to-user channel.  build_channels also forms the link gain
+P*beta_g*M of matched transmission, the one place that product is formed,
+and carries it with the noise power on the ChannelSet.  Angles are measured
+at each array from the global +x axis (atan2 convention); the config layer
+accepts degrees, everything here is radians.
 
 The RIS element index n runs 0..N-1 with horizontal index n_H = n mod N_H
 and vertical index n_V = n // N_H.  The per-element offsets are centered
@@ -148,9 +150,11 @@ def rician_user_channel(
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The RIS-side channel quantities of one scenario realization."""
+    """The RIS-side channel quantities of one scenario realization, with the
+    two link scalars of the matched-transmission metrics."""
 
-    beta_g: float
+    gain_prefactor: float  # P*beta_g*M; over the noise power it is the SNR prefactor
+    noise_power_w: float
     g_ris: np.ndarray  # RIS-side steering of the BS-RIS link, length N
     h_ue: np.ndarray  # Rician RIS-user channel, length N
     a_targets: tuple[np.ndarray, ...]  # per-target RIS steering, each length N
@@ -179,7 +183,8 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     a_targets = tuple(ris_steering_rx(geom, th) for th in target_thetas)
 
     return ChannelSet(
-        beta_g=beta_g,
+        gain_prefactor=scenario.transmit_power_w * beta_g * scenario.bs_antennas,
+        noise_power_w=scenario.noise_power_w,
         g_ris=g_ris,
         h_ue=h_ue,
         a_targets=a_targets,

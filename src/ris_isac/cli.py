@@ -5,8 +5,9 @@ Subcommands: `solve` (one scenario end to end, printed summary),
 Flags override scenario-file fields, which override built-in defaults.
 Exit codes: 0 success, 1 internal error (any other exception, reported on
 one line), 2 config error, 3 numerical error, 4 capability error.  Every
-output-producing run writes a JSON manifest before its results; the
-manifest pins everything needed to reproduce the run.
+output-producing run that succeeds writes a JSON manifest, with its wall
+time, after the run and before its results; a failed run writes nothing.
+The manifest pins everything needed to reproduce the run.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class RunManifest:
     seed_list: list[int]
     output_dir: str
     tool_version: str
-    wall_time_s: float | None = None
+    wall_time_s: float
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2) + "\n")
@@ -129,45 +130,40 @@ def _seed_list(scenario: ScenarioConfig, n_seeds: int | None) -> list[int]:
     return [scenario.seed + i for i in range(n)]
 
 
-def _start_manifest(out: Path, path: str, scenario: ScenarioConfig, seeds) -> RunManifest:
-    """Create the output directory and write the manifest before any result."""
+def _write_manifest(out: Path, path: str, scenario: ScenarioConfig, seeds, wall_time_s) -> None:
+    """Create the output directory and write the manifest of a run that has
+    finished, before any of its results."""
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
+    RunManifest(
         command=sys.argv[1:],
         scenario_path=path,
         resolved_config=scenario.to_dict(),
         seed_list=list(seeds),
         output_dir=str(out),
         tool_version=__version__,
-    )
-    manifest.write(out / "manifest.json")
-    return manifest
+        wall_time_s=wall_time_s,
+    ).write(out / "manifest.json")
 
 
 def cmd_solve(args) -> int:
     scenario, path = _load_scenario(args)
-    manifest = None
-    if args.out is not None:
-        manifest = _start_manifest(Path(args.out), path, scenario, [scenario.seed])
-
     t0 = time.perf_counter()
     from .pipeline import solve_scenario
 
     outcome = solve_scenario(scenario)
+    if args.out is not None:
+        _write_manifest(Path(args.out), path, scenario, [scenario.seed], time.perf_counter() - t0)
 
     print(f"gamma_db={outcome.metrics.snr_db:.6f}")
     gain_ub_db = gain_upper_bound(
-        scenario.alpha, scenario.weights, outcome.realization.consts, scenario.n_elements, db=True
+        scenario.alpha, scenario.weights, outcome.realization.channels.gain_prefactor,
+        scenario.n_elements, db=True,
     )
     for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains, gain_ub_db), 1):
         print(f"gain_t{k}_db={g_db:.6f} gain_ub_t{k}_db={ub_db:.6f}")
     print(f"lambda={outcome.report.lambda_used:.9g}")
     print(f"max_abs_dphi={outcome.report.max_abs_perturbation:.9g}")
     print(f"objective={outcome.report.objective_value:.9g}")
-
-    if manifest is not None:
-        manifest.wall_time_s = time.perf_counter() - t0
-        manifest.write(Path(args.out) / "manifest.json")
     return EXIT_OK
 
 
@@ -184,8 +180,6 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"--alphas: {exc}") from None
     sdr_cap = args.sdr_cap if args.sdr_cap is not None else exp.DEFAULT_SDR_CAP
 
-    out = Path(args.out)
-    manifest = _start_manifest(out, path, scenario, seeds)
     t0 = time.perf_counter()
 
     if args.name == "heatmap":
@@ -201,10 +195,10 @@ def cmd_experiment(args) -> int:
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
     else:  # complexity; argparse restricts the choices
         result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap)
-    result.write_csv(out / f"{args.name.replace('-', '_')}.csv")
 
-    manifest.wall_time_s = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
+    out = Path(args.out)
+    _write_manifest(out, path, scenario, seeds, time.perf_counter() - t0)
+    result.write_csv(out / f"{args.name.replace('-', '_')}.csv")
     print(f"wrote {args.name} results to {out}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SystemConstants, beam_factors, beam_gains, to_db
+from .beamforming import beam_factors, beam_gains, to_db
 from .channel import (
     ArrayGeometry,
     angle_from_positions,
@@ -111,7 +111,7 @@ def _method_phase(real, method):
     if method == "proposed":
         return design(real, [(s.alpha, s.weights, s.lambda_policy)])[0].v_final
     # sdr: relaxed solve + randomized extraction
-    problem = SdpProblem.from_channels(real.channels, real.consts, s.alpha, s.weights)
+    problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
     phase, _ = gaussian_randomization(
         solution.v_matrix, problem, DEFAULT_SDR_TRIALS, child_rng(s.seed, _SDR_STREAM)
@@ -123,7 +123,7 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
     """Seed-mean beampattern gain (dB) toward each steering row, one per method."""
 
     def patterns(real, methods):
-        factors = beam_factors(steering, real.channels.g_ris, real.consts)
+        factors = beam_factors(steering, real.channels)
         return [to_db(beam_gains(_method_phase(real, m).v, factors)) for m in methods]
 
     results = _run_cells(scenario, seeds, methods, patterns)
@@ -317,18 +317,17 @@ def run_complexity_probe(
     for n in n_list:
         cell = _probe_scenario(scenario, int(n), k_targets)
         channels = build_channels(cell, child_rng(cell.seed, _CHANNEL_STREAM))
-        consts = SystemConstants.from_scenario(cell, channels)
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():
-            system = build_system(channels.h_ue, channels.a_targets, consts)
+            system = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
             lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
             return solve_perturbation(system, [eta_bar], [lam])
 
         seconds = median_seconds(proposed_once)
         rows.append({"n_elements": int(n), "method": "proposed", "median_seconds": seconds})
         if n <= sdr_cap:
-            problem = SdpProblem.from_channels(channels, consts, cell.alpha, cell.weights)
+            problem = SdpProblem.from_channels(channels, cell.alpha, cell.weights)
             seconds = median_seconds(lambda: solve_sdp(problem))
             rows.append({"n_elements": int(n), "method": "sdr", "median_seconds": seconds})
 

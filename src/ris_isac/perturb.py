@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import SystemConstants, to_db
+from .beamforming import to_db
 from .errors import ConfigError, IllPosedWarning, NumericalError, ShapeError
 
 PINV_RCOND = 1e-12  # relative cutoff for the lambda=0 pseudo-inverse
@@ -162,8 +162,9 @@ class SolveReport:
         return SolveReport(*(value[i] for value in vars(self).values()))
 
 
-def build_system(h_ue: np.ndarray, a_targets, consts: SystemConstants) -> PerturbationSystem:
-    """Assemble the linearized system of one realization and its SVD.
+def build_system(h_ue: np.ndarray, a_targets, gain_prefactor: float) -> PerturbationSystem:
+    """Assemble the linearized system of one realization and its SVD, scaled by
+    sqrt(gain_prefactor), the link gain P*beta_g*M.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
     weighted complex objective; check_stacking() verifies this for the
@@ -183,7 +184,7 @@ def build_system(h_ue: np.ndarray, a_targets, consts: SystemConstants) -> Pertur
         )
 
     align = np.exp(1j * (np.angle(h_ue) - np.angle(np.stack(a_targets))))
-    scale = float(np.sqrt(consts.gain_prefactor))
+    scale = float(np.sqrt(gain_prefactor))
     try:
         u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -244,13 +245,12 @@ def compose_phase(v_star: RisPhase, delta_phi: np.ndarray) -> RisPhase:
     return RisPhase(v_star.phi + np.asarray(delta_phi, dtype=float))
 
 
-def gain_upper_bound(alpha, weights, consts: SystemConstants, n_elements: int, db=False):
+def gain_upper_bound(alpha, weights, gain_prefactor: float, n_elements: int, db=False):
     """Per-target ceiling P*beta_g*M*(alpha*w_k*N)^2 on the beampattern gain; batches as
     eta_targets.  With db=True it is a sum of logs in dB, which no underflow of the
     product reaches: it is -inf only where alpha or w_k is 0."""
     weights = np.atleast_1d(weights)
     eta = eta_targets(alpha, weights, n_elements)  # also checks the weights
-    prefactor = consts.gain_prefactor
     if db:
-        return to_db(prefactor) + 2.0 * (to_db(alpha) + to_db(weights) + to_db(n_elements))
-    return prefactor * np.abs(eta) ** 2
+        return to_db(gain_prefactor) + 2.0 * (to_db(alpha) + to_db(weights) + to_db(n_elements))
+    return gain_prefactor * np.abs(eta) ** 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import Metrics, SystemConstants, metrics_for
+from .beamforming import Metrics, metrics_for
 from .channel import ChannelSet, Rng, build_channels, child_rng
 from .config import ScenarioConfig
 from .perturb import (
@@ -22,7 +22,6 @@ from .perturb import (
     comm_optimal_phase,
     compose_phase,
     eta_targets,
-    gain_upper_bound,
     solve_perturbation,
 )
 
@@ -33,7 +32,6 @@ class Realization:
 
     scenario: ScenarioConfig
     channels: ChannelSet
-    consts: SystemConstants
     v_comm: RisPhase
     system: PerturbationSystem
 
@@ -45,7 +43,6 @@ class SolveOutcome:
     realization: Realization
     report: SolveReport
     metrics: Metrics
-    gain_bounds: np.ndarray
 
     @property
     def v_final(self) -> RisPhase:
@@ -57,14 +54,12 @@ def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
     if rng is None:
         rng = child_rng(scenario.seed, 0)
     channels = build_channels(scenario, rng)
-    consts = SystemConstants.from_scenario(scenario, channels)
     v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
     return Realization(
         scenario=scenario,
         channels=channels,
-        consts=consts,
         v_comm=v_comm,
-        system=build_system(channels.h_ue, channels.a_targets, consts),
+        system=build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor),
     )
 
 
@@ -74,7 +69,7 @@ def design(realization: Realization, cells) -> list[SolveOutcome]:
     solve with its Taylor-bound check, and one metric evaluation for all."""
     if not cells:
         return []
-    system, consts = realization.system, realization.consts
+    system = realization.system
     alphas, weights, policies = zip(*cells)
     alpha = np.array(alphas, dtype=float)[:, None]
     eta_bar = eta_targets(alpha, weights, system.n_elements)
@@ -83,12 +78,8 @@ def design(realization: Realization, cells) -> list[SolveOutcome]:
     system.check_stacking(eta_bar)
     report = solve_perturbation(system, eta_bar, lam)
     v_final = compose_phase(realization.v_comm, report.delta_phi)
-    metrics = metrics_for(v_final.v, realization.channels, consts)
-    bounds = gain_upper_bound(alpha, weights, consts, system.n_elements)
-    return [
-        SolveOutcome(realization, report[i], metrics[i], bounds[i])
-        for i in range(len(cells))
-    ]
+    metrics = metrics_for(v_final.v, realization.channels)
+    return [SolveOutcome(realization, report[i], metrics[i]) for i in range(len(cells))]
 
 
 def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:

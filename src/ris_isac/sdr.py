@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import Metrics, SystemConstants, beam_gains, metric_factors
+from .beamforming import Metrics, beam_gains, metric_factors
 from .channel import ChannelSet, Rng
 from .errors import ConfigError, Infeasible, NonConvergence, NumericalError
 from .perturb import RisPhase, gain_upper_bound
@@ -41,12 +41,10 @@ class SdpProblem:
     desired_gains: np.ndarray
 
     @classmethod
-    def from_channels(
-        cls, channels: ChannelSet, consts: SystemConstants, alpha: float, weights
-    ) -> "SdpProblem":
+    def from_channels(cls, channels: ChannelSet, alpha: float, weights) -> "SdpProblem":
         """The metric factors of one realization, with the gain ceilings as floors."""
-        factors = metric_factors(channels, consts)
-        floors = gain_upper_bound(alpha, weights, consts, factors.shape[1])
+        factors = metric_factors(channels)
+        floors = gain_upper_bound(alpha, weights, channels.gain_prefactor, factors.shape[1])
         return cls(q_ue=factors[0], q_targets=factors[1:], desired_gains=floors)
 
     @property

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from oracles import bs_steering_for
 
-from ris_isac import (
-    SystemConstants,
-    build_channels,
-    child_rng,
-    load_default_scenario,
-)
+from ris_isac import build_channels, child_rng, load_default_scenario
+from ris_isac.channel import path_gains
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +28,10 @@ def g_bs(scenario):
     return bs_steering_for(scenario)
 
 
-@pytest.fixture(scope="session")
-def consts(scenario, channels):
-    return SystemConstants.from_scenario(scenario, channels)
+@pytest.fixture()
+def beta_g(scenario):
+    """BS-RIS path gain of the `scenario` fixture, a pre-MRT oracle quantity."""
+    return path_gains(scenario)[0]
 
 
 def random_unit_channels(rng, n):

@@ -11,7 +11,6 @@ from oracles import beampattern_gain_general, bs_steering_for, comm_snr_general,
 from ris_isac import (
     LambdaPolicy,
     SdpProblem,
-    SystemConstants,
     build_channels,
     build_system,
     child_rng,
@@ -75,47 +74,45 @@ def alpha_half_means(scenario):
     return out
 
 
-def test_criterion_01_mrt_optimality(scenario):
+def test_criterion_01_mrt_optimality(scenario, beta_g):
     """Random unit-power beamformers never beat matched transmission."""
     ok = True
     worst = 0.0
     g_bs = bs_steering_for(scenario)
     for seed in range(1, 11):
         ch = build_channels(scenario, child_rng(seed, 0))
-        consts = SystemConstants.from_scenario(scenario, ch)
         v = comm_optimal_phase(ch.h_ue, ch.g_ris).v
-        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+        w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
         snr_star = comm_snr_general(
-            w_star, ch.beta_g, g_bs, ch.g_ris, ch.h_ue, v, consts.noise_power_w
+            w_star, beta_g, g_bs, ch.g_ris, ch.h_ue, v, scenario.noise_power_w
         )
         gain_star = [
-            beampattern_gain_general(w_star, ch.beta_g, g_bs, ch.g_ris, v, a)
+            beampattern_gain_general(w_star, beta_g, g_bs, ch.g_ris, v, a)
             for a in ch.a_targets
         ]
         rng = child_rng(seed, 99)
         for _ in range(1000):
             w = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-            w *= np.sqrt(consts.transmit_power_w) / np.linalg.norm(w)
+            w *= np.sqrt(scenario.transmit_power_w) / np.linalg.norm(w)
             snr = comm_snr_general(
-                w, ch.beta_g, g_bs, ch.g_ris, ch.h_ue, v, consts.noise_power_w
+                w, beta_g, g_bs, ch.g_ris, ch.h_ue, v, scenario.noise_power_w
             )
             worst = max(worst, snr - snr_star)
             ok &= snr <= snr_star + 1e-9
             for a, gs in zip(ch.a_targets, gain_star):
-                g = beampattern_gain_general(w, ch.beta_g, g_bs, ch.g_ris, v, a)
+                g = beampattern_gain_general(w, beta_g, g_bs, ch.g_ris, v, a)
                 ok &= g <= gs + 1e-9
     report(1, "MRT optimality", ok, f"max SNR excess {worst:.3e}")
 
 
-def test_criterion_02_comm_phase_optimality(scenario):
+def test_criterion_02_comm_phase_optimality(scenario, beta_g):
     """Random RIS phase vectors never beat the aligned phases."""
     ch = build_channels(scenario, child_rng(scenario.seed, 0))
-    consts = SystemConstants.from_scenario(scenario, ch)
     g_bs = bs_steering_for(scenario)
-    w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+    w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
 
     def snr_of(v):
-        return comm_snr_general(w_star, ch.beta_g, g_bs, ch.g_ris, ch.h_ue, v, consts.noise_power_w)
+        return comm_snr_general(w_star, beta_g, g_bs, ch.g_ris, ch.h_ue, v, scenario.noise_power_w)
 
     snr_star = snr_of(comm_optimal_phase(ch.h_ue, ch.g_ris).v)
     rng = child_rng(scenario.seed, 98)
@@ -136,16 +133,13 @@ def test_criterion_03_stacking_equivalence():
     for _ in range(100):
         n = int(rng.integers(4, 96))
         k = int(rng.integers(1, 5))
-        consts = SystemConstants(
-            transmit_power_w=float(rng.uniform(0.1, 10.0)),
-            noise_power_w=1e-11,
-            beta_g=float(rng.uniform(1e-8, 1e-3)),
-            bs_antennas=int(rng.integers(1, 32)),
-        )
+        p = float(rng.uniform(0.1, 10.0))
+        beta_g = float(rng.uniform(1e-8, 1e-3))
+        m = int(rng.integers(1, 32))
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
         eta_bar = rng.uniform(0.0, n, k)
-        sys_ = build_system(h, a_targets, consts)
+        sys_ = build_system(h, a_targets, p * beta_g * m)
         dphi = rng.standard_normal(n)
         lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked(eta_bar)) ** 2
         rhs = sys_.scale**2 * np.sum(np.abs(sys_.eta_linearized_all(dphi) - eta_bar) ** 2)
@@ -162,11 +156,10 @@ def test_criterion_04_solver_matches_oracle():
     for _ in range(15):
         n = int(rng.integers(8, 129))
         k = int(rng.integers(1, 9))
-        consts = SystemConstants(1.0, 1e-11, 1e-6, 11)
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
         eta_bar = rng.uniform(0, n, k)
-        sys_ = build_system(h, a_targets, consts)
+        sys_ = build_system(h, a_targets, 1.0 * 1e-6 * 11)
         for frac in (1e-3, 1.0, 10.0):
             lam = frac * sys_.sigma_max_normalized
             got = solve_perturbation(sys_, [eta_bar], [lam])[0].delta_phi
@@ -214,7 +207,7 @@ def test_criterion_07_target_gain_uplift(scenario):
         o = solve_scenario(scenario.replace(alpha=1.0, seed=seed))
         # compare the same realization with and without the perturbation
         real = o.realization
-        comm_only = metrics_for(real.v_comm.v[None], real.channels, real.consts)[0]
+        comm_only = metrics_for(real.v_comm.v[None], real.channels)[0]
         prop = np.mean([g_db for _, g_db in o.metrics.gains])
         comm = np.mean([g_db for _, g_db in comm_only.gains])
         diffs.append(prop - comm)
@@ -272,8 +265,7 @@ def test_criterion_09_sdr_dominance(scenario):
     """Relaxed SDP upper-bounds both designs; randomization extracts a feasible v."""
     cell = scenario.replace(ris_rows=4, ris_cols=4, alpha=0.5)
     ch = build_channels(cell, child_rng(cell.seed, 0))
-    consts = SystemConstants.from_scenario(cell, ch)
-    problem = SdpProblem.from_channels(ch, consts, cell.alpha, cell.weights)
+    problem = SdpProblem.from_channels(ch, cell.alpha, cell.weights)
     desired = problem.desired_gains
     sol = solve_sdp(problem, tol=1e-6)
     relaxed = sol.relaxed_objective

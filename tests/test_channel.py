@@ -132,7 +132,11 @@ class TestBuildChannels:
         assert (target_angle(scenario, 0), target_angle(scenario, 1)) == tuple(
             np.deg2rad([65.0, 90.0])
         )
-        assert channels.beta_g == pytest.approx(2.625428796375616e-07)
+        assert path_gains(scenario)[0] == pytest.approx(2.625428796375616e-07)
+        assert channels.gain_prefactor == (
+            scenario.transmit_power_w * path_gains(scenario)[0] * scenario.bs_antennas
+        )
+        assert channels.noise_power_w == scenario.noise_power_w
         assert path_gains(scenario)[1] == pytest.approx(1.4570026790857404e-08)
 
     def test_deterministic(self, scenario):

@@ -241,6 +241,13 @@ class TestExperiment:
         assert code == EXIT_CONFIG
 
 
+def test_failed_experiment_leaves_no_output(tmp_path):
+    """A study that fails writes neither a manifest nor a results directory."""
+    out = tmp_path / "failed"
+    assert main(["experiment", "heatmap", "--method", "sdr", "--out", str(out)]) == EXIT_CAPABILITY
+    assert not out.exists()
+
+
 _SPECIAL_FLOATS = [
     float("nan"), float("inf"), float("-inf"), 1e308, -1e308,
     5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,

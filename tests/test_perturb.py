@@ -6,7 +6,6 @@ from oracles import beampattern_gain_general, mrt_beamformer
 from ris_isac import (
     ConfigError,
     LambdaPolicy,
-    SystemConstants,
     build_system,
     child_rng,
     comm_optimal_phase,
@@ -22,21 +21,20 @@ finite_phases = st.lists(
 )
 
 
-def toy_consts(p=1.0, m=1, beta=1.0):
-    return SystemConstants(
-        transmit_power_w=p, noise_power_w=1e-11, beta_g=beta, bs_antennas=m
-    )
+def toy_prefactor(p=1.0, m=1, beta=1.0):
+    """The link gain P*beta_g*M of toy link scalars."""
+    return p * beta * m
 
 
-def random_system(rng, n, k, consts=None):
+def random_system(rng, n, k, gain_prefactor=1.0):
     h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, n)) for _ in range(k)]
-    return build_system(h, a_targets, consts or toy_consts())
+    return build_system(h, a_targets, gain_prefactor)
 
 
-def random_problem(rng, n, k, consts=None):
+def random_problem(rng, n, k, gain_prefactor=1.0):
     """A random system and beam-sum targets for it, drawn in that order."""
-    return random_system(rng, n, k, consts), rng.uniform(0.0, n, k)
+    return random_system(rng, n, k, gain_prefactor), rng.uniform(0.0, n, k)
 
 
 def solve_one(system, eta_bar, lam):
@@ -68,24 +66,24 @@ class TestRisPhase:
 
 
 class TestEta:
-    def test_exact_gain_identity(self, channels, consts, g_bs):
+    def test_exact_gain_identity(self, scenario, channels, beta_g, g_bs):
         """The pre-MRT gain of the composed phases under the matched beamformer
         equals the exact beam-sum form."""
         rng = child_rng(11)
         v_star = comm_optimal_phase(channels.h_ue, channels.g_ris)
-        sys_ = build_system(channels.h_ue, channels.a_targets, consts)
-        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+        sys_ = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
+        w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
         for _ in range(20):
             dphi = rng.uniform(-0.5, 0.5, 441)
             v = compose_phase(v_star, dphi)
             for a, eta in zip(channels.a_targets, sys_.eta_exact_all(dphi)):
                 gain = beampattern_gain_general(
-                    w_star, channels.beta_g, g_bs, channels.g_ris, v.v, a
+                    w_star, beta_g, g_bs, channels.g_ris, v.v, a
                 )
-                assert gain == pytest.approx(consts.gain_prefactor * abs(eta) ** 2, rel=1e-9)
+                assert gain == pytest.approx(channels.gain_prefactor * abs(eta) ** 2, rel=1e-9)
 
-    def test_linearized_matches_exact_at_zero(self, channels, consts):
-        sys_ = build_system(channels.h_ue, channels.a_targets, consts)
+    def test_linearized_matches_exact_at_zero(self, channels):
+        sys_ = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
         z = np.zeros(441)
         np.testing.assert_allclose(sys_.eta_linearized_all(z), sys_.eta_exact_all(z))
 
@@ -95,7 +93,7 @@ class TestEta:
         rng = child_rng(12)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
-        sys_ = build_system(h, [a], toy_consts())
+        sys_ = build_system(h, [a], 1.0)
         dphi = scale * rng.standard_normal(16)
         gap = abs(sys_.eta_exact_all(dphi)[0] - sys_.eta_linearized_all(dphi)[0])
         assert gap <= np.sum(dphi**2) / 2.0 + 1e-12
@@ -113,11 +111,11 @@ class TestBuildSystem:
         for _ in range(100):
             n = int(rng.integers(4, 64))
             k = int(rng.integers(1, 5))
-            consts = toy_consts(
+            prefactor = toy_prefactor(
                 p=float(rng.uniform(0.1, 10)), m=int(rng.integers(1, 16)),
                 beta=float(rng.uniform(1e-8, 1.0)),
             )
-            sys_, eta_bar = random_problem(rng, n, k, consts)
+            sys_, eta_bar = random_problem(rng, n, k, prefactor)
             dphi = rng.standard_normal(n)
             lhs = np.linalg.norm(sys_.a_stacked @ dphi - sys_.b_stacked(eta_bar)) ** 2
             etas = sys_.eta_linearized_all(dphi)
@@ -133,9 +131,9 @@ class TestBuildSystem:
         rng = child_rng(15)
         h = rng.standard_normal(8) + 0j
         with pytest.raises(ShapeError):
-            build_system(h, [], toy_consts())
+            build_system(h, [], 1.0)
         with pytest.raises(ShapeError):
-            solve_perturbation(build_system(h, [np.ones(8)], toy_consts()), [[1.0, 2.0]], [0.0])
+            solve_perturbation(build_system(h, [np.ones(8)], 1.0), [[1.0, 2.0]], [0.0])
 
     def test_batch_solve_matches_fresh_builds(self):
         """One factorization serves a batch of targets exactly as a fresh build
@@ -143,12 +141,12 @@ class TestBuildSystem:
         rng = child_rng(22)
         h = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         a_targets = [np.exp(1j * rng.uniform(-np.pi, np.pi, 24)) for _ in range(3)]
-        system = build_system(h, a_targets, toy_consts())
+        system = build_system(h, a_targets, 1.0)
         eta_bar = np.array([[1.0, 2.0, 3.0], [4.0, 0.5, 7.0]])
         lam = np.array([0.3, 0.0]) * system.sigma_max_normalized
         batch = solve_perturbation(system, eta_bar, lam)
         for i in range(2):
-            alone = solve_one(build_system(h, a_targets, toy_consts()), eta_bar[i], lam[i])
+            alone = solve_one(build_system(h, a_targets, 1.0), eta_bar[i], lam[i])
             np.testing.assert_array_equal(batch[i].delta_phi, alone.delta_phi)
             assert batch[i].objective_value == alone.objective_value
         np.testing.assert_array_equal(system.b_stacked(eta_bar)[1], system.b_stacked(eta_bar[1]))
@@ -259,8 +257,8 @@ class TestCompose:
 
 
 class TestGainUpperBound:
-    def test_value(self, consts):
-        c = toy_consts(p=2.0, m=3, beta=0.5)
+    def test_value(self, channels):
+        c = toy_prefactor(p=2.0, m=3, beta=0.5)
         ub = gain_upper_bound(0.5, (0.5, 0.5), c, 100)
         # P*beta*M*(alpha*zeta*N)^2 = 2*0.5*3*(25)^2
         np.testing.assert_allclose(ub, [1875.0, 1875.0])
@@ -269,12 +267,11 @@ class TestGainUpperBound:
         # on the shipped scenario the linear ceiling underflows below alpha ~ 4e-162
         # (to -3233.06 dB at 5e-162 and to -inf at 3e-162); the dB form does not
         for alpha, want in ((5e-162, -3234.546499), (3e-162, -3238.983474), (0.0, -np.inf)):
-            got = gain_upper_bound(alpha, (0.5, 0.5), consts, 441, db=True)
+            got = gain_upper_bound(alpha, (0.5, 0.5), channels.gain_prefactor, 441, db=True)
             np.testing.assert_allclose(got, [want, want], rtol=0.0, atol=5e-7)
         assert gain_upper_bound(0.5, (1.0, 0.0), c, 100, db=True)[1] == -np.inf
 
     def test_increasing_in_alpha(self):
-        c = toy_consts()
-        lo = gain_upper_bound(0.2, (1.0,), c, 10)
-        hi = gain_upper_bound(0.8, (1.0,), c, 10)
+        lo = gain_upper_bound(0.2, (1.0,), 1.0, 10)
+        hi = gain_upper_bound(0.8, (1.0,), 1.0, 10)
         assert np.all(hi > lo)

@@ -8,24 +8,21 @@ from ris_isac import (
     Infeasible,
     NonConvergence,
     SdpProblem,
-    SystemConstants,
     build_channels,
     child_rng,
     gaussian_randomization,
     solve_sdp,
 )
 from ris_isac.beamforming import beam_gains
+from ris_isac.channel import path_gains
 from ris_isac.sdr import psd_project
 
 
 @pytest.fixture(scope="module")
 def small_problem(small_scenario):
     channels = build_channels(small_scenario, child_rng(small_scenario.seed, 0))
-    consts = SystemConstants.from_scenario(small_scenario, channels)
-    problem = SdpProblem.from_channels(
-        channels, consts, small_scenario.alpha, small_scenario.weights
-    )
-    return problem, channels, consts
+    problem = SdpProblem.from_channels(channels, small_scenario.alpha, small_scenario.weights)
+    return problem, channels
 
 
 def snr_and_gains(problem, v):
@@ -71,30 +68,31 @@ class TestPsiMatrices:
     def test_trace_forms_match_metrics(self, small_scenario, small_problem):
         """|q^H v|^2 on the problem's factors reproduces the pre-MRT SNR and
         gains under the matched beamformer."""
-        problem, channels, consts = small_problem
+        problem, channels = small_problem
+        beta_g = path_gains(small_scenario)[0]
         g_bs = bs_steering_for(small_scenario)
-        w_star = mrt_beamformer(g_bs, consts.transmit_power_w)
+        w_star = mrt_beamformer(g_bs, small_scenario.transmit_power_w)
         rng = child_rng(4)
         for _ in range(10):
             v = np.exp(1j * rng.uniform(-np.pi, np.pi, problem.n_elements))
             snr, gains = snr_and_gains(problem, v)
             assert snr == pytest.approx(
                 comm_snr_general(
-                    w_star, channels.beta_g, g_bs, channels.g_ris, channels.h_ue, v,
-                    consts.noise_power_w,
+                    w_star, beta_g, g_bs, channels.g_ris, channels.h_ue, v,
+                    small_scenario.noise_power_w,
                 ),
                 rel=1e-10,
             )
             for g, a in zip(gains, channels.a_targets):
                 assert g == pytest.approx(
-                    beampattern_gain_general(w_star, channels.beta_g, g_bs, channels.g_ris, v, a),
+                    beampattern_gain_general(w_star, beta_g, g_bs, channels.g_ris, v, a),
                     rel=1e-10,
                 )
 
 
 class TestSolveSdp:
     def test_solution_invariants(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
         n = problem.n_elements
         assert sol.v_matrix.shape == (n, n)
@@ -107,7 +105,7 @@ class TestSolveSdp:
 
     def test_relaxation_upper_bounds_unit_modulus(self, small_problem):
         """Any unit-modulus vector meeting the floors scores below the relaxed optimum."""
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
         rng = child_rng(5)
         slack = 1e-3 * sol.relaxed_objective
@@ -120,30 +118,30 @@ class TestSolveSdp:
     def test_values_match_dense_trace_forms(self, small_problem):
         """The reported objective and residuals equal tr(Z psi) with each psi
         built densely as P*beta_g*M * q q^H, q = conj(steering) * g."""
-        problem, channels, consts = small_problem
+        problem, channels = small_problem
         sol = solve_sdp(problem, tol=1e-6)
 
         def trace_form(steering, weight):
             q = np.conj(steering) * channels.g_ris
             return np.real(np.trace(sol.v_matrix @ (weight * np.outer(q, q.conj()))))
 
-        snr_weight = consts.gain_prefactor / consts.noise_power_w
+        snr_weight = channels.gain_prefactor / channels.noise_power_w
         assert sol.relaxed_objective == pytest.approx(
             trace_form(channels.h_ue, snr_weight), rel=1e-10
         )
-        achieved = [trace_form(a, consts.gain_prefactor) for a in channels.a_targets]
+        achieved = [trace_form(a, channels.gain_prefactor) for a in channels.a_targets]
         np.testing.assert_allclose(
             problem.desired_gains - sol.constraint_residuals, achieved, rtol=1e-10
         )
 
     def test_deterministic(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         a = solve_sdp(problem)
         b = solve_sdp(problem)
         np.testing.assert_array_equal(a.v_matrix, b.v_matrix)
 
     def test_unreachable_floors_flagged(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         hopeless = SdpProblem(
             q_ue=problem.q_ue,
             q_targets=problem.q_targets,
@@ -155,13 +153,13 @@ class TestSolveSdp:
 
 class TestRandomization:
     def test_trials_validated(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem)
         with pytest.raises(ConfigError):
             gaussian_randomization(sol.v_matrix, problem, 0, child_rng(0))
 
     def test_extraction_feasible_and_unit_modulus(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
         phase, metrics = gaussian_randomization(
             sol.v_matrix, problem, 100, child_rng(6)
@@ -172,7 +170,7 @@ class TestRandomization:
         assert metrics.snr_linear <= sol.relaxed_objective * (1 + 1e-3)
 
     def test_deterministic_given_rng(self, small_problem):
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem)
         p1, _ = gaussian_randomization(sol.v_matrix, problem, 20, child_rng(7))
         p2, _ = gaussian_randomization(sol.v_matrix, problem, 20, child_rng(7))
@@ -182,7 +180,7 @@ class TestRandomization:
     def test_matches_sequential_replay(self, small_problem, floor_scale):
         """One draw and one score per trial, kept by the first strictly best
         feasible SNR, else the first best worst-case ratio, picks the same phase."""
-        problem, _, _ = small_problem
+        problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
         problem = SdpProblem(
             q_ue=problem.q_ue,
