@@ -22,7 +22,6 @@ from .errors import (
 )
 from .perturb import (
     PerturbationSystem,
-    RisPhase,
     SolveReport,
     build_system,
     comm_optimal_phase,
@@ -48,7 +47,6 @@ __all__ = [
     "PerturbationSystem",
     "Realization",
     "RisIsacError",
-    "RisPhase",
     "ScenarioConfig",
     "SdpProblem",
     "SdrSolution",

@@ -3,7 +3,8 @@
 Steering vectors of the RIS uniform planar array, dB-to-linear path losses,
 and the Rician RIS-to-user channel.  build_channels also forms the link gain
 P*beta_g*M of matched transmission, the one place that product is formed,
-and carries it with the noise power on the ChannelSet.  Angles are measured
+and carries it with the noise power on the ChannelSet, next to the target
+steering as one (K, N) array with a row per target.  Angles are measured
 at each array from the global +x axis (atan2 convention); the config layer
 accepts degrees, everything here is radians.
 
@@ -157,7 +158,7 @@ class ChannelSet:
     noise_power_w: float
     g_ris: np.ndarray  # RIS-side steering of the BS-RIS link, length N
     h_ue: np.ndarray  # Rician RIS-user channel, length N
-    a_targets: tuple[np.ndarray, ...]  # per-target RIS steering, each length N
+    a_targets: np.ndarray  # (K, N) RIS steering, one row per target
 
 
 def target_angle(scenario: ScenarioConfig, index: int) -> float:
@@ -180,12 +181,11 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     g_ris = ris_steering_tx(geom, theta_link)
     a_ue = ris_steering_rx(geom, theta_ue)
     h_ue = rician_user_channel(a_ue, scenario.rician_kappa, beta_ue, rng)
-    a_targets = tuple(ris_steering_rx(geom, th) for th in target_thetas)
 
     return ChannelSet(
         gain_prefactor=scenario.transmit_power_w * beta_g * scenario.bs_antennas,
         noise_power_w=scenario.noise_power_w,
         g_ris=g_ris,
         h_ue=h_ue,
-        a_targets=a_targets,
+        a_targets=ris_steering_rx(geom, target_thetas),
     )

@@ -130,12 +130,13 @@ def _seed_list(scenario: ScenarioConfig, n_seeds: int | None) -> list[int]:
     return [scenario.seed + i for i in range(n)]
 
 
-def _write_manifest(out: Path, path: str, scenario: ScenarioConfig, seeds, wall_time_s) -> None:
+def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_s) -> None:
     """Create the output directory and write the manifest of a run that has
     finished, before any of its results."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     RunManifest(
-        command=sys.argv[1:],
+        command=args.argv,
         scenario_path=path,
         resolved_config=scenario.to_dict(),
         seed_list=list(seeds),
@@ -152,7 +153,7 @@ def cmd_solve(args) -> int:
 
     outcome = solve_scenario(scenario)
     if args.out is not None:
-        _write_manifest(Path(args.out), path, scenario, [scenario.seed], time.perf_counter() - t0)
+        _write_manifest(args, path, scenario, [scenario.seed], time.perf_counter() - t0)
 
     print(f"gamma_db={outcome.metrics.snr_db:.6f}")
     gain_ub_db = gain_upper_bound(
@@ -197,7 +198,7 @@ def cmd_experiment(args) -> int:
         result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap)
 
     out = Path(args.out)
-    _write_manifest(out, path, scenario, seeds, time.perf_counter() - t0)
+    _write_manifest(args, path, scenario, seeds, time.perf_counter() - t0)
     result.write_csv(out / f"{args.name.replace('-', '_')}.csv")
     print(f"wrote {args.name} results to {out}")
     return EXIT_OK
@@ -210,8 +211,9 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records the arguments this run parsed
     commands = {"solve": cmd_solve, "experiment": cmd_experiment, "validate": cmd_validate}
     try:
         return commands[args.command](args)

@@ -95,7 +95,8 @@ class LambdaPolicy:
     def __str__(self) -> str:
         if self.kind == "adaptive":
             return "adaptive"
-        return f"fixed:{self.fraction:g}"
+        text = f"{self.fraction:g}"  # else the shortest text that parses back to the fraction
+        return f"fixed:{text if float(text) == self.fraction else repr(float(self.fraction))}"
 
     def normalized(self, alpha: float, sigma_max: float) -> float:
         """Ridge on the power-normalized stack: adaptive (1 - alpha^2) * sigma_max,

@@ -26,12 +26,11 @@ from .channel import (
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
 from .perturb import build_system, eta_targets, solve_perturbation
-from .pipeline import design, realize
+from .pipeline import CHANNEL_STREAM, design, realize
 from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
 DEFAULT_SDR_CAP = 64
 DEFAULT_SDR_TRIALS = 100
-_CHANNEL_STREAM = 0
 _SDR_STREAM = 1
 
 FLOAT_FMT = "%.9g"
@@ -97,14 +96,14 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     """
     results = [[None] * len(seeds) for _ in cells]
     for j, seed in enumerate(seeds):
-        real = realize(scenario.replace(seed=seed), child_rng(seed, _CHANNEL_STREAM))
+        real = realize(scenario.replace(seed=seed))
         for i, result in enumerate(evaluate(real, cells)):
             results[i][j] = result
     return results
 
 
 def _method_phase(real, method):
-    """RIS phases of one realization under the requested design method."""
+    """RIS configuration (N,) of one realization under the requested design method."""
     s = real.scenario
     if method == "comm_only":
         return real.v_comm
@@ -113,10 +112,9 @@ def _method_phase(real, method):
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
-    phase, _ = gaussian_randomization(
+    return gaussian_randomization(
         solution.v_matrix, problem, DEFAULT_SDR_TRIALS, child_rng(s.seed, _SDR_STREAM)
-    )
-    return phase
+    )[0]
 
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
@@ -124,7 +122,7 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
 
     def patterns(real, methods):
         factors = beam_factors(steering, real.channels)
-        return [to_db(beam_gains(_method_phase(real, m).v, factors)) for m in methods]
+        return [to_db(beam_gains(_method_phase(real, m), factors)) for m in methods]
 
     results = _run_cells(scenario, seeds, methods, patterns)
     # a running total in seed order; np.sum's pairwise order would move the last bits
@@ -316,7 +314,7 @@ def run_complexity_probe(
     rows = []
     for n in n_list:
         cell = _probe_scenario(scenario, int(n), k_targets)
-        channels = build_channels(cell, child_rng(cell.seed, _CHANNEL_STREAM))
+        channels = build_channels(cell, child_rng(cell.seed, CHANNEL_STREAM))
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():

@@ -1,12 +1,13 @@
 """Closed-form RIS phase design.
 
-The phase vector is split into a communication-optimal part and a small
-perturbation that shapes beams toward the sensing targets.  The target
-beam sums are linearized in the perturbation, stacked into a real
-least-squares system, and solved through an SVD-filtered Tikhonov step.
+A RIS configuration is its unit-modulus vector v: (N,) for one design,
+(C, N) for a batch.  The design v = v_comm * exp(j*delta_phi) is the
+communication-optimal v_comm times a small perturbation that shapes beams
+toward the sensing targets.  The target beam sums are linearized in the
+perturbation, stacked into a real least-squares system, and solved through
+an SVD-filtered Tikhonov step.
 
-Sign convention: with v = v_comm * exp(j*delta_phi), the beam sum toward
-target k is exactly
+Sign convention: with that v, the beam sum toward target k is exactly
 
     eta_k(delta_phi) = sum_n exp(j*(ang(h_n) - ang(a_k_n))) * exp(-j*delta_phi_n),
 
@@ -31,43 +32,15 @@ _BUILD_CHECK_TOL = 1e-8
 _BUILD_CHECK_DRAWS = 10
 
 
-def wrap_phase(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles to (-pi, pi]."""
-    phi = np.asarray(phi, dtype=float)
-    wrapped = np.mod(-phi + np.pi, 2.0 * np.pi)
-    return np.pi - wrapped
-
-
-@dataclass(frozen=True)
-class RisPhase:
-    """Unit-modulus RIS configuration (N,), or a batch of them (C, N), stored as wrapped phases."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", wrap_phase(self.phi))
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.exp(1j * self.phi)
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "RisPhase":
-        return cls(np.angle(np.asarray(v, dtype=complex)))
-
-    def __len__(self) -> int:
-        return len(self.phi)
-
-
-def comm_optimal_phase(h_ue: np.ndarray, g_ris: np.ndarray) -> RisPhase:
-    """Per-element phase that aligns every summand of the user SNR.
+def comm_optimal_phase(h_ue: np.ndarray, g_ris: np.ndarray) -> np.ndarray:
+    """The configuration v_comm (N,) that aligns every summand of the user SNR.
 
     Exact-zero channel entries get phase 0 (np.angle convention); they are
     a probability-zero event under any continuous fading model.
     """
     if len(h_ue) != len(g_ris):
         raise ShapeError("comm_optimal_phase: length mismatch")
-    return RisPhase(np.angle(np.conj(h_ue) * g_ris))
+    return np.exp(1j * np.angle(np.conj(h_ue) * g_ris))
 
 
 def eta_targets(alpha, weights, n_elements: int) -> np.ndarray:
@@ -162,20 +135,21 @@ class SolveReport:
         return SolveReport(*(value[i] for value in vars(self).values()))
 
 
-def build_system(h_ue: np.ndarray, a_targets, gain_prefactor: float) -> PerturbationSystem:
-    """Assemble the linearized system of one realization and its SVD, scaled by
-    sqrt(gain_prefactor), the link gain P*beta_g*M.
+def build_system(
+    h_ue: np.ndarray, a_targets: np.ndarray, gain_prefactor: float
+) -> PerturbationSystem:
+    """Assemble the linearized system of one realization, with target steering
+    a_targets (K, N), and its SVD, scaled by sqrt(gain_prefactor), the link gain
+    P*beta_g*M.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
     weighted complex objective; check_stacking() verifies this for the
     targets a design actually solves for.
     """
-    a_targets = list(a_targets)
-    k = len(a_targets)
-    if k < 1:
-        raise ShapeError("build_system: need at least one target")
-    n = len(h_ue)
-    if any(len(a) != n for a in a_targets):
+    if np.ndim(a_targets) != 2 or len(a_targets) < 1:
+        raise ShapeError("build_system: need at least one target, as rows of a (K, N) array")
+    k, n = np.shape(a_targets)
+    if n != len(h_ue):
         raise ShapeError("build_system: target steering length mismatch")
     if k > n:
         warnings.warn(
@@ -183,7 +157,7 @@ def build_system(h_ue: np.ndarray, a_targets, gain_prefactor: float) -> Perturba
             IllPosedWarning,
         )
 
-    align = np.exp(1j * (np.angle(h_ue) - np.angle(np.stack(a_targets))))
+    align = np.exp(1j * (np.angle(h_ue) - np.angle(a_targets)))
     scale = float(np.sqrt(gain_prefactor))
     try:
         u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=True)
@@ -237,12 +211,12 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
     )
 
 
-def compose_phase(v_star: RisPhase, delta_phi: np.ndarray) -> RisPhase:
-    """Apply a perturbation (N,), or each row of a batch (C, N), on top of
-    the communication-optimal phases."""
+def compose_phase(v_star: np.ndarray, delta_phi: np.ndarray) -> np.ndarray:
+    """The RIS configuration v = v_star * exp(j*delta_phi) of a perturbation (N,),
+    or of each row of a batch (C, N), on top of the communication-optimal v_star."""
     if len(v_star) != np.shape(delta_phi)[-1]:
         raise ShapeError("compose_phase: length mismatch")
-    return RisPhase(v_star.phi + np.asarray(delta_phi, dtype=float))
+    return v_star * np.exp(1j * np.asarray(delta_phi, dtype=float))
 
 
 def gain_upper_bound(alpha, weights, gain_prefactor: float, n_elements: int, db=False):

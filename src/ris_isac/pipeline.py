@@ -2,7 +2,8 @@
 
 realize() draws one fading realization and factorizes it; design() aims
 that factorization at alpha * w * N for a batch of (alpha, weights, policy)
-cells and evaluates them together in one pass of array operations.
+cells and evaluates them together in one pass of array operations.  Every
+RIS configuration here is a unit-modulus vector v (N,), as perturb forms it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .channel import ChannelSet, Rng, build_channels, child_rng
 from .config import ScenarioConfig
 from .perturb import (
     PerturbationSystem,
-    RisPhase,
     SolveReport,
     build_system,
     comm_optimal_phase,
@@ -25,6 +25,8 @@ from .perturb import (
     solve_perturbation,
 )
 
+CHANNEL_STREAM = 0  # child_rng(seed, CHANNEL_STREAM) draws a realization's fading
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -32,7 +34,7 @@ class Realization:
 
     scenario: ScenarioConfig
     channels: ChannelSet
-    v_comm: RisPhase
+    v_comm: np.ndarray  # communication-optimal configuration (N,)
     system: PerturbationSystem
 
 
@@ -43,22 +45,18 @@ class SolveOutcome:
     realization: Realization
     report: SolveReport
     metrics: Metrics
-
-    @property
-    def v_final(self) -> RisPhase:
-        return compose_phase(self.realization.v_comm, self.report.delta_phi)
+    v_final: np.ndarray  # the designed configuration (N,) that metrics scores
 
 
 def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
     """Draw the channels of one realization and factorize its system."""
     if rng is None:
-        rng = child_rng(scenario.seed, 0)
+        rng = child_rng(scenario.seed, CHANNEL_STREAM)
     channels = build_channels(scenario, rng)
-    v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
     return Realization(
         scenario=scenario,
         channels=channels,
-        v_comm=v_comm,
+        v_comm=comm_optimal_phase(channels.h_ue, channels.g_ris),
         system=build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor),
     )
 
@@ -78,8 +76,10 @@ def design(realization: Realization, cells) -> list[SolveOutcome]:
     system.check_stacking(eta_bar)
     report = solve_perturbation(system, eta_bar, lam)
     v_final = compose_phase(realization.v_comm, report.delta_phi)
-    metrics = metrics_for(v_final.v, realization.channels)
-    return [SolveOutcome(realization, report[i], metrics[i]) for i in range(len(cells))]
+    metrics = metrics_for(v_final, realization.channels)
+    return [
+        SolveOutcome(realization, report[i], metrics[i], v_final[i]) for i in range(len(cells))
+    ]
 
 
 def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:

@@ -22,7 +22,7 @@ import numpy as np
 from .beamforming import Metrics, beam_gains, metric_factors
 from .channel import ChannelSet, Rng
 from .errors import ConfigError, Infeasible, NonConvergence, NumericalError
-from .perturb import RisPhase, gain_upper_bound
+from .perturb import gain_upper_bound
 
 DEFAULT_TOL = 1e-5
 DEFAULT_MAX_ITER = 5000
@@ -189,14 +189,14 @@ def gaussian_randomization(
     trials: int,
     rng: Rng,
     slack: float = 0.05,
-) -> tuple[RisPhase, Metrics]:
+) -> tuple[np.ndarray, Metrics]:
     """Extract a unit-modulus phase vector from the relaxed solution.
 
     Candidates are drawn as complex Gaussians with covariance v_matrix and
     projected entrywise to unit modulus.  Among candidates meeting every
     gain floor within the given relative slack, the one with the best SNR
     wins; if none qualifies, the candidate with the best worst-case
-    floor ratio is returned.  The Metrics are the scores it was chosen by.
+    floor ratio is returned.  The vector (N,) returned is the one its Metrics scored.
     """
     if trials < 1:
         raise ConfigError("gaussian_randomization: trials must be >= 1")
@@ -219,4 +219,4 @@ def gaussian_randomization(
             ratios = np.where(floors > 0, gains / floors, np.inf)
         best = np.argmax(np.min(ratios, axis=1))
     (metrics,) = Metrics.from_linear(snr[[best]], gains[[best]])
-    return RisPhase.from_vector(candidates[best]), metrics
+    return candidates[best], metrics

@@ -81,7 +81,7 @@ def test_criterion_01_mrt_optimality(scenario, beta_g):
     g_bs = bs_steering_for(scenario)
     for seed in range(1, 11):
         ch = build_channels(scenario, child_rng(seed, 0))
-        v = comm_optimal_phase(ch.h_ue, ch.g_ris).v
+        v = comm_optimal_phase(ch.h_ue, ch.g_ris)
         w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
         snr_star = comm_snr_general(
             w_star, beta_g, g_bs, ch.g_ris, ch.h_ue, v, scenario.noise_power_w
@@ -114,7 +114,7 @@ def test_criterion_02_comm_phase_optimality(scenario, beta_g):
     def snr_of(v):
         return comm_snr_general(w_star, beta_g, g_bs, ch.g_ris, ch.h_ue, v, scenario.noise_power_w)
 
-    snr_star = snr_of(comm_optimal_phase(ch.h_ue, ch.g_ris).v)
+    snr_star = snr_of(comm_optimal_phase(ch.h_ue, ch.g_ris))
     rng = child_rng(scenario.seed, 98)
     worst = 0.0
     ok = True
@@ -207,7 +207,7 @@ def test_criterion_07_target_gain_uplift(scenario):
         o = solve_scenario(scenario.replace(alpha=1.0, seed=seed))
         # compare the same realization with and without the perturbation
         real = o.realization
-        comm_only = metrics_for(real.v_comm.v[None], real.channels)[0]
+        comm_only = metrics_for(real.v_comm[None], real.channels)[0]
         prop = np.mean([g_db for _, g_db in o.metrics.gains])
         comm = np.mean([g_db for _, g_db in comm_only.gains])
         diffs.append(prop - comm)

@@ -41,7 +41,7 @@ class TestMrt:
 
     def test_mrt_maximizes_both_metrics(self, scenario, channels, beta_g, g_bs):
         """Random unit-power beamformers never beat the matched one."""
-        v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
+        v = comm_optimal_phase(channels.h_ue, channels.g_ris)
         w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
         snr_star = comm_snr_general(
             w_star, beta_g, g_bs, channels.g_ris,
@@ -122,18 +122,18 @@ class TestFactoredForms:
 class TestOracleValues:
     def test_comm_optimal_snr_frozen(self, channels):
         """Closed-form SNR of the aligned phases for the pinned realization."""
-        v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
+        v = comm_optimal_phase(channels.h_ue, channels.g_ris)
         snr_db = to_db(beam_gains(v, metric_factors(channels))[0])
         assert snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
     def test_aligned_sum_is_sum_of_moduli(self, channels):
         # with aligned phases the SNR sum hits its triangle-inequality maximum
-        v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
+        v = comm_optimal_phase(channels.h_ue, channels.g_ris)
         s = np.abs(np.sum(np.conj(channels.h_ue) * np.conj(v) * channels.g_ris))
         assert s == pytest.approx(float(np.sum(np.abs(channels.h_ue))), rel=1e-12)
 
     def test_metrics_for(self, channels):
-        v = comm_optimal_phase(channels.h_ue, channels.g_ris).v
+        v = comm_optimal_phase(channels.h_ue, channels.g_ris)
         (m,) = metrics_for(v[None], channels)
         assert len(m.gains) == 2
         assert m.snr_db == pytest.approx(28.20810878359081, abs=1e-9)

@@ -127,7 +127,12 @@ class TestBuildChannels:
         assert g_bs.shape == (11,)
         assert channels.g_ris.shape == (441,)
         assert channels.h_ue.shape == (441,)
-        assert len(channels.a_targets) == 2
+        assert channels.a_targets.shape == (2, 441)
+        geom = ArrayGeometry.from_scenario(scenario)
+        for k in range(2):  # the one call over all angles gives each angle's own vector
+            np.testing.assert_array_equal(
+                channels.a_targets[k], ris_steering_rx(geom, target_angle(scenario, k))
+            )
         assert angle_from_positions(scenario.bs_pos, scenario.ris_pos) == pytest.approx(np.pi / 4)
         assert (target_angle(scenario, 0), target_angle(scenario, 1)) == tuple(
             np.deg2rad([65.0, 90.0])

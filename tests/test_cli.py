@@ -171,6 +171,7 @@ class TestSolve:
         out_dir = tmp_path / "run"
         assert main(["solve", "--out", str(out_dir)]) == EXIT_OK
         manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == ["solve", "--out", str(out_dir)]
         assert manifest["scenario_path"] == str(default_scenario_path())
         assert manifest["seed_list"] == [1]
         assert manifest["wall_time_s"] > 0

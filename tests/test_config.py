@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ris_isac import ConfigError, LambdaPolicy, ScenarioConfig, TargetSpec
 from ris_isac.config import default_scenario_path
@@ -32,9 +32,10 @@ class TestLambdaPolicy:
             LambdaPolicy("fixed_fraction", fraction)
 
     @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @example(0.123456789)
     def test_parse_str_roundtrip(self, c):
         p = LambdaPolicy("fixed_fraction", c)
-        assert LambdaPolicy.parse(str(p)).fraction == pytest.approx(c, rel=1e-5)
+        assert LambdaPolicy.parse(str(p)).fraction == c
 
 
 class TestTargetSpec:
@@ -101,6 +102,8 @@ class TestScenarioConfig:
     def test_dict_roundtrip(self, scenario):
         again = ScenarioConfig.from_dict(scenario.to_dict())
         assert again == scenario
+        fixed = scenario.replace(lambda_policy=LambdaPolicy("fixed_fraction", 0.123456789))
+        assert ScenarioConfig.from_dict(fixed.to_dict()) == fixed
 
     def test_missing_key_named(self, scenario):
         d = scenario.to_dict()

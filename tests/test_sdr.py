@@ -13,7 +13,7 @@ from ris_isac import (
     gaussian_randomization,
     solve_sdp,
 )
-from ris_isac.beamforming import beam_gains
+from ris_isac.beamforming import beam_gains, metric_factors
 from ris_isac.channel import path_gains
 from ris_isac.sdr import psd_project
 
@@ -159,13 +159,15 @@ class TestRandomization:
             gaussian_randomization(sol.v_matrix, problem, 0, child_rng(0))
 
     def test_extraction_feasible_and_unit_modulus(self, small_problem):
-        problem, _ = small_problem
+        problem, channels = small_problem
         sol = solve_sdp(problem, tol=1e-6)
-        phase, metrics = gaussian_randomization(
-            sol.v_matrix, problem, 100, child_rng(6)
-        )
-        np.testing.assert_allclose(np.abs(phase.v), 1.0, atol=1e-12)
+        v, metrics = gaussian_randomization(sol.v_matrix, problem, 100, child_rng(6))
+        np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
         gains = np.array([g for g, _ in metrics.gains])
+        # the returned configuration is the very candidate its metrics scored
+        scores = beam_gains(v, metric_factors(channels))
+        assert scores[0] == metrics.snr_linear
+        np.testing.assert_array_equal(scores[1:], gains)
         assert np.all(gains >= 0.95 * problem.desired_gains)
         assert metrics.snr_linear <= sol.relaxed_objective * (1 + 1e-3)
 
@@ -174,7 +176,7 @@ class TestRandomization:
         sol = solve_sdp(problem)
         p1, _ = gaussian_randomization(sol.v_matrix, problem, 20, child_rng(7))
         p2, _ = gaussian_randomization(sol.v_matrix, problem, 20, child_rng(7))
-        np.testing.assert_array_equal(p1.phi, p2.phi)
+        np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize("floor_scale", [1.0, 1e3], ids=["feasible", "fallback"])
     def test_matches_sequential_replay(self, small_problem, floor_scale):
@@ -206,5 +208,5 @@ class TestRandomization:
         assert (best_feasible is not None) == (floor_scale == 1.0)
         expected = (best_feasible or best_ratio)[1]
 
-        phase, _ = gaussian_randomization(sol.v_matrix, problem, trials, child_rng(8))
-        np.testing.assert_allclose(phase.v, expected, atol=1e-9)
+        v, _ = gaussian_randomization(sol.v_matrix, problem, trials, child_rng(8))
+        np.testing.assert_allclose(v, expected, atol=1e-9)
