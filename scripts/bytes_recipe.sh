@@ -8,7 +8,9 @@
 # with `diff -r -x complexity -x manifest.json OUT1 OUT2`.  It writes the
 # quick reproduction tree, the AoA scan at the scenario's alpha = 1 (the
 # lambda = 0 pseudo-inverse path, where rounding shows first) on the shipped
-# scenario and on its 4x4 copy, and four `solve` summaries.
+# scenario and on its 4x4 copy, four `solve` summaries, and the 20-seed
+# alpha sweep over 11 alphas (the shape of one perfbench alpha-sweep op) and
+# the 20-seed weight sweep, both on the shipped scenario.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -33,3 +35,6 @@ ris_isac solve --alpha 0.5 --lambda-policy fixed:0.1 > "$OUT/solve_alpha05_fixed
 ris_isac solve --alpha 0 > "$OUT/solve_alpha0.txt"
 ris_isac solve --scenario "$OUT/desk_scale.json" --alpha 1 --seed 7 \
     > "$OUT/solve_desk_scale_seed7.txt"
+ris_isac experiment alpha-sweep --seeds 20 --alphas 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1 \
+    --out "$OUT/alpha_sweep_20seeds"
+ris_isac experiment weight-sweep --seeds 20 --out "$OUT/weight_sweep_20seeds"

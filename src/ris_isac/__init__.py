@@ -25,7 +25,6 @@ from .perturb import (
     SolveReport,
     build_system,
     comm_optimal_phase,
-    compose_phase,
     gain_upper_bound,
     solve_perturbation,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "build_system",
     "child_rng",
     "comm_optimal_phase",
-    "compose_phase",
     "design",
     "gain_upper_bound",
     "gaussian_randomization",

@@ -5,9 +5,9 @@ simultaneously optimal for the communication SNR and for every beampattern
 gain.  This module holds both metrics in that factored post-MRT form, each
 as |q^H v|^2 for a rank-one factor q; beam_factors builds the factors from
 one realization's ChannelSet, which carries the link gain P*beta_g*M and the
-noise power, and beam_gains evaluates them.  The beamformer, the BS-side
-steering and the general pre-MRT forms are test oracles and live in
-``tests/oracles.py``.
+noise power, beam_gains evaluates them, and metrics_for returns one Metrics
+record whose arrays keep the batch axes of v.  The beamformer, the BS-side
+steering and the general pre-MRT forms are test oracles (``tests/oracles.py``).
 SNR is analytic throughout: no symbols or noise are ever sampled.
 """
 
@@ -23,30 +23,26 @@ from .errors import NumericalError, ShapeError
 
 @dataclass(frozen=True)
 class Metrics:
-    """Communication SNR and per-target beampattern gains, linear and dB."""
+    """Communication SNR and per-target beampattern gains, linear and dB, of one
+    design or a batch; every array carries the leading axes (...) of the inputs."""
 
-    snr_linear: float
-    snr_db: float
-    gains: tuple[tuple[float, float], ...]  # (linear, dB) per target
+    snr_linear: np.ndarray  # (...,)
+    snr_db: np.ndarray  # (...,)
+    gains: np.ndarray  # (..., K, 2): (linear, dB) per target
 
     @classmethod
-    def from_linear(cls, snr, gains_linear) -> list["Metrics"]:
-        """Metrics of C designs from linear SNRs (C,) and gains (C, K), converted
-        to dB in one pass; a NaN or infinite value raises NumericalError naming
-        the first design that has one."""
+    def from_linear(cls, snr, gains_linear) -> "Metrics":
+        """Metrics from linear SNRs (...,) and gains (..., K), converted to dB in
+        one pass; a NaN or infinite value raises NumericalError naming the first
+        design that has one."""
         snr, gains = np.asarray(snr, dtype=float), np.asarray(gains_linear, dtype=float)
         finite = np.isfinite(snr) & np.isfinite(gains).all(axis=-1)
         if not finite.all():
-            i = int(np.argmin(finite))
+            i = np.unravel_index(np.argmin(finite), finite.shape)
             raise NumericalError(
                 f"metrics not finite: snr {snr[i].item()!r}, gains {gains[i].tolist()!r}"
             )
-        return [
-            cls(s, s_db, tuple(zip(g, g_db)))
-            for s, s_db, g, g_db in zip(
-                snr.tolist(), to_db(snr).tolist(), gains.tolist(), to_db(gains).tolist()
-            )
-        ]
+        return cls(snr, to_db(snr), np.stack([gains, to_db(gains)], axis=-1))
 
 
 def to_db(x):
@@ -82,7 +78,7 @@ def metric_factors(channels: ChannelSet) -> np.ndarray:
     return factors
 
 
-def metrics_for(v: np.ndarray, channels: ChannelSet) -> list[Metrics]:
-    """Evaluate both metrics for each row of a batch of RIS phase vectors (C, N)."""
+def metrics_for(v: np.ndarray, channels: ChannelSet) -> Metrics:
+    """Both metrics of RIS phases (N,), or of each row of a batch (C, N)."""
     scores = beam_gains(v, metric_factors(channels))
-    return Metrics.from_linear(scores[:, 0], scores[:, 1:])
+    return Metrics.from_linear(scores[..., 0], scores[..., 1:])

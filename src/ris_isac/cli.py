@@ -151,20 +151,20 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     from .pipeline import solve_scenario
 
-    outcome = solve_scenario(scenario)
+    outcome = solve_scenario(scenario)  # a batch of one design
     if args.out is not None:
         _write_manifest(args, path, scenario, [scenario.seed], time.perf_counter() - t0)
 
-    print(f"gamma_db={outcome.metrics.snr_db:.6f}")
+    print(f"gamma_db={outcome.metrics.snr_db[0]:.6f}")
     gain_ub_db = gain_upper_bound(
         scenario.alpha, scenario.weights, outcome.realization.channels.gain_prefactor,
         scenario.n_elements, db=True,
     )
-    for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains, gain_ub_db), 1):
+    for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains[0], gain_ub_db), 1):
         print(f"gain_t{k}_db={g_db:.6f} gain_ub_t{k}_db={ub_db:.6f}")
-    print(f"lambda={outcome.report.lambda_used:.9g}")
-    print(f"max_abs_dphi={outcome.report.max_abs_perturbation:.9g}")
-    print(f"objective={outcome.report.objective_value:.9g}")
+    print(f"lambda={outcome.report.lambda_used[0]:.9g}")
+    print(f"max_abs_dphi={outcome.report.max_abs_perturbation[0]:.9g}")
+    print(f"objective={outcome.report.objective_value[0]:.9g}")
     return EXIT_OK
 
 

@@ -1,10 +1,9 @@
 """Reproductions of the reference studies at configurable scale.
 
 Each experiment returns a SweepResult: plain row dicts, one per CSV row,
-with seed-mean lookups, that can serialize itself to CSV.  All randomness flows
-from explicit seed lists through counter-derived child generators, so a
-rerun with the same inputs is byte-identical and cells can be evaluated in
-any order.
+that can serialize itself to CSV.  All randomness flows from explicit seed
+lists through counter-derived child generators, so a rerun with the same
+inputs is byte-identical and cells can be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -53,20 +52,10 @@ def write_csv(path, fieldnames, rows) -> None:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """The CSV rows of one study, with seed-mean lookups over them."""
+    """The CSV rows of one study."""
 
     fieldnames: tuple[str, ...]
     rows: tuple[dict, ...]
-
-    def mean_over_seeds(self, value_key: str, **filters) -> float:
-        vals = [
-            row[value_key]
-            for row in self.rows
-            if all(row[k] == v for k, v in filters.items())
-        ]
-        if not vals:
-            raise KeyError(f"no rows match {filters}")
-        return float(np.mean(vals))
 
     def write_csv(self, path) -> None:
         write_csv(path, self.fieldnames, self.rows)
@@ -108,7 +97,7 @@ def _method_phase(real, method):
     if method == "comm_only":
         return real.v_comm
     if method == "proposed":
-        return design(real, [(s.alpha, s.weights, s.lambda_policy)])[0].v_final
+        return design(real, [(s.alpha, s.weights, s.lambda_policy)]).v_final[0]
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
@@ -170,14 +159,16 @@ def _design_rows(scenario, seeds, labelled_cells) -> list[dict]:
     cells = [cell for _, cell in labelled_cells]
 
     def rows_of(real, cells):
+        metrics = design(real, cells).metrics
+        snr_db, gains_db = metrics.snr_db.tolist(), metrics.gains[..., 1].tolist()
         return [
             {
                 **label,
                 "seed": real.scenario.seed,
-                "gamma_db": o.metrics.snr_db,
-                **{f"gain_t{k}_db": g_db for k, (_, g_db) in enumerate(o.metrics.gains, 1)},
+                "gamma_db": gamma_db,
+                **{f"gain_t{k}_db": g_db for k, g_db in enumerate(gains, 1)},
             }
-            for label, o in zip(labels, design(real, cells))
+            for label, gamma_db, gains in zip(labels, snr_db, gains_db)
         ]
 
     results = _run_cells(scenario, list(seeds), cells, rows_of)

@@ -5,11 +5,11 @@ A RIS configuration is its unit-modulus vector v: (N,) for one design,
 communication-optimal v_comm times a small perturbation that shapes beams
 toward the sensing targets.  The target beam sums are linearized in the
 perturbation, stacked into a real least-squares system, and solved through
-an SVD-filtered Tikhonov step.
+an SVD-filtered Tikhonov step, which forms rotation = exp(j*delta_phi) once.
 
 Sign convention: with that v, the beam sum toward target k is exactly
 
-    eta_k(delta_phi) = sum_n exp(j*(ang(h_n) - ang(a_k_n))) * exp(-j*delta_phi_n),
+    eta_k = sum_n exp(j*(ang(h_n) - ang(a_k_n))) * conj(rotation_n),
 
 so the physical beampattern gain equals P*M*beta_g*|eta_k|^2 with no
 approximation.  The solver's objective and Taylor-bound check use this exact
@@ -109,10 +109,9 @@ class PerturbationSystem:
         """Largest singular value of the stack with the power scale removed."""
         return float(self.svd_s[0] / self.scale)
 
-    def eta_exact_all(self, delta_phi: np.ndarray) -> np.ndarray:
-        """Exact beam sums (..., K) of perturbations (..., N)."""
-        rotation = np.exp(-1j * np.asarray(delta_phi, dtype=float))[..., None, :]
-        return (self.alignment * rotation).sum(axis=-1)
+    def eta_exact_all(self, rotation: np.ndarray) -> np.ndarray:
+        """Exact beam sums (..., K) of rotations exp(j*delta_phi) (..., N)."""
+        return (self.alignment * np.conj(rotation)[..., None, :]).sum(axis=-1)
 
     def eta_linearized_all(self, delta_phi: np.ndarray) -> np.ndarray:
         """First-order beam sums (..., K) of perturbations (..., N)."""
@@ -122,17 +121,14 @@ class PerturbationSystem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Output of the Tikhonov solves of C designs; every field has a leading
-    cell axis, and report[i] is design i's report with that axis dropped."""
+    """Output of the Tikhonov solves of C designs; every field has a leading cell axis."""
 
     delta_phi: np.ndarray
+    rotation: np.ndarray  # exp(j*delta_phi), the factor v_comm is multiplied by
     objective_value: np.ndarray  # exact-beam-sum objective at the solution
     lambda_used: np.ndarray  # normalized ridge, as LambdaPolicy.normalized returns it
     max_abs_perturbation: np.ndarray
     linearization_error_bound: np.ndarray  # ||delta_phi||^2 / 2, in beam-sum units
-
-    def __getitem__(self, i) -> "SolveReport":
-        return SolveReport(*(value[i] for value in vars(self).values()))
 
 
 def build_system(
@@ -195,7 +191,8 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
     coeffs = filt * (b[:, None, :] @ system.svd_u)[:, 0, : len(s)]
     delta_phi = (coeffs[:, None, :] @ system.svd_vt[: len(s)])[:, 0]
 
-    eta = system.eta_exact_all(delta_phi)
+    rotation = np.exp(1j * delta_phi)
+    eta = system.eta_exact_all(rotation)
     objective = system.scale**2 * (np.abs(eta - eta_bar) ** 2).sum(axis=-1)
     bound = (delta_phi**2).sum(axis=-1) / 2.0
     gap = np.abs(eta - system.eta_linearized_all(delta_phi))
@@ -204,19 +201,12 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
 
     return SolveReport(
         delta_phi=delta_phi,
+        rotation=rotation,
         objective_value=objective,
         lambda_used=lam,
         max_abs_perturbation=np.abs(delta_phi).max(axis=-1, initial=0.0),
         linearization_error_bound=bound,
     )
-
-
-def compose_phase(v_star: np.ndarray, delta_phi: np.ndarray) -> np.ndarray:
-    """The RIS configuration v = v_star * exp(j*delta_phi) of a perturbation (N,),
-    or of each row of a batch (C, N), on top of the communication-optimal v_star."""
-    if len(v_star) != np.shape(delta_phi)[-1]:
-        raise ShapeError("compose_phase: length mismatch")
-    return v_star * np.exp(1j * np.asarray(delta_phi, dtype=float))
 
 
 def gain_upper_bound(alpha, weights, gain_prefactor: float, n_elements: int, db=False):

@@ -2,8 +2,9 @@
 
 realize() draws one fading realization and factorizes it; design() aims
 that factorization at alpha * w * N for a batch of (alpha, weights, policy)
-cells and evaluates them together in one pass of array operations.  Every
-RIS configuration here is a unit-modulus vector v (N,), as perturb forms it.
+cells and evaluates them together in one pass of array operations, returning
+one SolveOutcome whose arrays carry the cell axis.  Every RIS configuration
+here is a unit-modulus vector v, v_comm times the solver's rotation.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import numpy as np
 from .beamforming import Metrics, metrics_for
 from .channel import ChannelSet, Rng, build_channels, child_rng
 from .config import ScenarioConfig
+from .errors import ShapeError
 from .perturb import (
     PerturbationSystem,
     SolveReport,
     build_system,
     comm_optimal_phase,
-    compose_phase,
     eta_targets,
     solve_perturbation,
 )
@@ -40,12 +41,13 @@ class Realization:
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """Everything produced by one proposed-method design."""
+    """Everything produced by a batch of C proposed-method designs on one
+    realization; report, metrics and v_final carry the cell axis."""
 
     realization: Realization
     report: SolveReport
     metrics: Metrics
-    v_final: np.ndarray  # the designed configuration (N,) that metrics scores
+    v_final: np.ndarray  # the designed configurations (C, N) that metrics scores
 
 
 def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
@@ -61,12 +63,12 @@ def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
     )
 
 
-def design(realization: Realization, cells) -> list[SolveOutcome]:
+def design(realization: Realization, cells) -> SolveOutcome:
     """Closed-form designs for the cells (alpha, weights, policy) of one
     realization, solved as one batch: one stacking check, one filtered
     solve with its Taylor-bound check, and one metric evaluation for all."""
     if not cells:
-        return []
+        raise ShapeError("design: cells is empty; need at least one (alpha, weights, policy)")
     system = realization.system
     alphas, weights, policies = zip(*cells)
     alpha = np.array(alphas, dtype=float)[:, None]
@@ -75,14 +77,11 @@ def design(realization: Realization, cells) -> list[SolveOutcome]:
 
     system.check_stacking(eta_bar)
     report = solve_perturbation(system, eta_bar, lam)
-    v_final = compose_phase(realization.v_comm, report.delta_phi)
-    metrics = metrics_for(v_final, realization.channels)
-    return [
-        SolveOutcome(realization, report[i], metrics[i], v_final[i]) for i in range(len(cells))
-    ]
+    v_final = realization.v_comm * report.rotation
+    return SolveOutcome(realization, report, metrics_for(v_final, realization.channels), v_final)
 
 
 def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:
-    """Run the full closed-form design for one fading realization."""
+    """Run the full closed-form design for one fading realization: a batch of one."""
     cell = (scenario.alpha, scenario.weights, scenario.lambda_policy)
-    return design(realize(scenario, rng), [cell])[0]
+    return design(realize(scenario, rng), [cell])

@@ -218,5 +218,4 @@ def gaussian_randomization(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(floors > 0, gains / floors, np.inf)
         best = np.argmax(np.min(ratios, axis=1))
-    (metrics,) = Metrics.from_linear(snr[[best]], gains[[best]])
-    return candidates[best], metrics
+    return candidates[best], Metrics.from_linear(snr[best], gains[best])

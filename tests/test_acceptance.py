@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import beampattern_gain_general, bs_steering_for, comm_snr_general, mrt_beamformer
+from sweeps import mean_over_seeds
 from ris_isac import (
     LambdaPolicy,
     SdpProblem,
@@ -60,10 +61,10 @@ def alpha_half_means(scenario):
     systems = [realize(cell.replace(seed=s)).system for s in SEEDS]
     out = {}
     for policy in policies:
-        gamma = sweep.mean_over_seeds("gamma_db", lambda_policy=policy)
+        gamma = mean_over_seeds(sweep, "gamma_db", lambda_policy=policy)
         gain = np.mean([
-            sweep.mean_over_seeds("gain_t1_db", lambda_policy=policy),
-            sweep.mean_over_seeds("gain_t2_db", lambda_policy=policy),
+            mean_over_seeds(sweep, "gain_t1_db", lambda_policy=policy),
+            mean_over_seeds(sweep, "gain_t2_db", lambda_policy=policy),
         ])
         ridge = np.mean([
             LambdaPolicy.parse(policy).normalized(cell.alpha, system.sigma_max_normalized)
@@ -162,7 +163,7 @@ def test_criterion_04_solver_matches_oracle():
         sys_ = build_system(h, a_targets, 1.0 * 1e-6 * 11)
         for frac in (1e-3, 1.0, 10.0):
             lam = frac * sys_.sigma_max_normalized
-            got = solve_perturbation(sys_, [eta_bar], [lam])[0].delta_phi
+            got = solve_perturbation(sys_, [eta_bar], [lam]).delta_phi[0]
             a, b = sys_.a_stacked, sys_.b_stacked(eta_bar)
             oracle = np.linalg.solve(a.T @ a + sys_.scale**2 * lam * np.eye(n), a.T @ b)
             rel = np.linalg.norm(got - oracle) / max(np.linalg.norm(oracle), 1e-30)
@@ -177,9 +178,10 @@ def test_criterion_05_taylor_bound(scenario):
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for seed in SEEDS[:5]:
             o = solve_scenario(scenario.replace(alpha=alpha, seed=seed))
-            dphi = o.report.delta_phi
+            dphi = o.report.delta_phi[0]
             system = o.realization.system
-            gap = np.abs(system.eta_exact_all(dphi) - system.eta_linearized_all(dphi))
+            eta = system.eta_exact_all(o.report.rotation[0])
+            gap = np.abs(eta - system.eta_linearized_all(dphi))
             bound = np.sum(dphi**2) / 2.0
             worst_margin = max(worst_margin, float(np.max(gap) - bound))
             ok &= bool(np.all(gap <= bound + 1e-9))
@@ -189,12 +191,12 @@ def test_criterion_05_taylor_bound(scenario):
 def test_criterion_06_fairness_ratio(scenario):
     """Weight ratio 10 gives a ~20 dB gain split; ratio 1 stays balanced."""
     sweep = sweep_weight_ratio(scenario.replace(alpha=0.5), [1.0, 10.0], SEEDS)
-    split10 = sweep.mean_over_seeds("gain_t1_db", ratio=10.0) - sweep.mean_over_seeds(
-        "gain_t2_db", ratio=10.0
+    split10 = mean_over_seeds(sweep, "gain_t1_db", ratio=10.0) - mean_over_seeds(
+        sweep, "gain_t2_db", ratio=10.0
     )
     split1 = abs(
-        sweep.mean_over_seeds("gain_t1_db", ratio=1.0)
-        - sweep.mean_over_seeds("gain_t2_db", ratio=1.0)
+        mean_over_seeds(sweep, "gain_t1_db", ratio=1.0)
+        - mean_over_seeds(sweep, "gain_t2_db", ratio=1.0)
     )
     ok = (17.0 <= split10 <= 23.0) and split1 <= 1.0
     report(6, "fairness gain split", ok, f"ratio10 {split10:.2f} dB, ratio1 {split1:.3f} dB")
@@ -207,8 +209,8 @@ def test_criterion_07_target_gain_uplift(scenario):
         o = solve_scenario(scenario.replace(alpha=1.0, seed=seed))
         # compare the same realization with and without the perturbation
         real = o.realization
-        comm_only = metrics_for(real.v_comm[None], real.channels)[0]
-        prop = np.mean([g_db for _, g_db in o.metrics.gains])
+        comm_only = metrics_for(real.v_comm, real.channels)
+        prop = np.mean([g_db for _, g_db in o.metrics.gains[0]])
         comm = np.mean([g_db for _, g_db in comm_only.gains])
         diffs.append(prop - comm)
     uplift = float(np.mean(diffs))
@@ -242,7 +244,7 @@ def test_criterion_08_tradeoff_orderings(scenario, alpha_half_means):
     adaptive_gammas = []
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         vals = [
-            solve_scenario(scenario.replace(alpha=alpha, seed=s)).metrics.snr_db
+            solve_scenario(scenario.replace(alpha=alpha, seed=s)).metrics.snr_db[0]
             for s in SEEDS
         ]
         adaptive_gammas.append(float(np.mean(vals)))
@@ -272,9 +274,9 @@ def test_criterion_09_sdr_dominance(scenario):
     tol_rel = 1e-3 * relaxed
 
     proposed = solve_scenario(cell, child_rng(cell.seed, 0))
-    prop_gains = np.array([g for g, _ in proposed.metrics.gains])
+    prop_gains = np.array([g for g, _ in proposed.metrics.gains[0]])
     prop_feasible = bool(np.all(prop_gains >= 0.95 * desired))
-    prop_ok = (not prop_feasible) or proposed.metrics.snr_linear <= relaxed + tol_rel
+    prop_ok = (not prop_feasible) or proposed.metrics.snr_linear[0] <= relaxed + tol_rel
 
     # replay the candidate stream and bound every draw
     rng = child_rng(cell.seed, 1)
@@ -296,7 +298,7 @@ def test_criterion_09_sdr_dominance(scenario):
         9,
         "SDR dominance",
         ok,
-        f"relaxed {10*np.log10(relaxed):.2f} dB, proposed {proposed.metrics.snr_db:.2f} dB "
+        f"relaxed {10*np.log10(relaxed):.2f} dB, proposed {proposed.metrics.snr_db[0]:.2f} dB "
         f"(meets floors: {prop_feasible}), best candidate {10*np.log10(cand_max):.2f} dB, "
         f"extraction feasible: {extract_ok}",
     )

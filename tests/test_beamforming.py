@@ -21,10 +21,11 @@ def test_to_db():
 
 
 def test_metrics_from_linear():
-    m, n = Metrics.from_linear([10.0, 1.0], [[1.0, 100.0], [1e3, 0.0]])
-    assert m.snr_db == pytest.approx(10.0)
-    assert m.gains[1] == (100.0, pytest.approx(20.0))
-    assert n.snr_db == 0.0 and n.gains == ((1e3, pytest.approx(30.0)), (0.0, -np.inf))
+    m = Metrics.from_linear([10.0, 1.0], [[1.0, 100.0], [1e3, 0.0]])
+    assert m.snr_db[0] == pytest.approx(10.0)
+    assert m.gains[0].tolist() == [[1.0, 0.0], [100.0, pytest.approx(20.0)]]
+    assert m.snr_db[1] == 0.0
+    assert m.gains[1].tolist() == [[1e3, pytest.approx(30.0)], [0.0, -np.inf]]
     for snr, gains in ((np.nan, [1.0]), (np.inf, [1.0]), (1.0, [1.0, np.nan]), (1.0, [-np.inf])):
         with pytest.raises(NumericalError):
             Metrics.from_linear([2.0, snr], [np.ones(len(gains)), gains])
@@ -134,6 +135,6 @@ class TestOracleValues:
 
     def test_metrics_for(self, channels):
         v = comm_optimal_phase(channels.h_ue, channels.g_ris)
-        (m,) = metrics_for(v[None], channels)
-        assert len(m.gains) == 2
-        assert m.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
+        m = metrics_for(v[None], channels)
+        assert m.gains.shape == (1, 2, 2)
+        assert m.snr_db[0] == pytest.approx(28.20810878359081, abs=1e-9)

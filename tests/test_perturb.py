@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +11,13 @@ from ris_isac import (
     build_system,
     child_rng,
     comm_optimal_phase,
-    compose_phase,
+    design,
     gain_upper_bound,
+    realize,
     solve_perturbation,
 )
 from ris_isac.errors import IllPosedWarning, NumericalError, ShapeError
 from ris_isac.perturb import PerturbationSystem, eta_targets
-
-finite_phases = st.lists(
-    st.floats(min_value=-50.0, max_value=50.0, allow_nan=False), min_size=1, max_size=32
-)
 
 
 def toy_prefactor(p=1.0, m=1, beta=1.0):
@@ -38,15 +37,29 @@ def random_problem(rng, n, k, gain_prefactor=1.0):
 
 
 def solve_one(system, eta_bar, lam):
-    return solve_perturbation(system, [eta_bar], [lam])[0]
+    """The report fields of one design, with the cell axis dropped."""
+    report = solve_perturbation(system, [eta_bar], [lam])
+    return SimpleNamespace(**{name: value[0] for name, value in vars(report).items()})
 
 
 class TestRisPhase:
-    @given(finite_phases)
-    def test_unit_modulus(self, phis):
-        phis = np.asarray(phis)
-        v = compose_phase(comm_optimal_phase(phis + 1j, np.ones(len(phis))), phis)
-        np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        w=st.floats(min_value=0.0, max_value=1.0),
+        fraction=st.floats(min_value=0.0, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_unit_modulus(self, small_scenario, alpha, w, fraction, seed):
+        """Every configuration design returns has |v_n| = 1, also where the
+        zero-ridge pseudo-inverse makes the perturbation large."""
+        real = realize(small_scenario.replace(seed=seed))
+        weights = (w, 1.0 - w)
+        cells = [
+            (alpha, weights, LambdaPolicy("fixed_fraction", fraction)),
+            (alpha, weights, LambdaPolicy("adaptive")),
+        ]
+        np.testing.assert_allclose(np.abs(design(real, cells).v_final), 1.0, atol=1e-12)
 
 
 class TestEta:
@@ -58,9 +71,9 @@ class TestEta:
         sys_ = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
         w_star = mrt_beamformer(g_bs, scenario.transmit_power_w)
         for _ in range(20):
-            dphi = rng.uniform(-0.5, 0.5, 441)
-            v = compose_phase(v_star, dphi)
-            for a, eta in zip(channels.a_targets, sys_.eta_exact_all(dphi)):
+            rotation = np.exp(1j * rng.uniform(-0.5, 0.5, 441))
+            v = v_star * rotation
+            for a, eta in zip(channels.a_targets, sys_.eta_exact_all(rotation)):
                 gain = beampattern_gain_general(
                     w_star, beta_g, g_bs, channels.g_ris, v, a
                 )
@@ -69,7 +82,7 @@ class TestEta:
     def test_linearized_matches_exact_at_zero(self, channels):
         sys_ = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
         z = np.zeros(441)
-        np.testing.assert_allclose(sys_.eta_linearized_all(z), sys_.eta_exact_all(z))
+        np.testing.assert_allclose(sys_.eta_linearized_all(z), sys_.eta_exact_all(np.exp(1j * z)))
 
     @given(scale=st.floats(min_value=1e-4, max_value=0.3))
     @settings(max_examples=25, deadline=None)
@@ -79,7 +92,7 @@ class TestEta:
         a = np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
         sys_ = build_system(h, [a], 1.0)
         dphi = scale * rng.standard_normal(16)
-        gap = abs(sys_.eta_exact_all(dphi)[0] - sys_.eta_linearized_all(dphi)[0])
+        gap = abs(sys_.eta_exact_all(np.exp(1j * dphi))[0] - sys_.eta_linearized_all(dphi)[0])
         assert gap <= np.sum(dphi**2) / 2.0 + 1e-12
 
     def test_eta_targets(self):
@@ -131,8 +144,8 @@ class TestBuildSystem:
         batch = solve_perturbation(system, eta_bar, lam)
         for i in range(2):
             alone = solve_one(build_system(h, a_targets, 1.0), eta_bar[i], lam[i])
-            np.testing.assert_array_equal(batch[i].delta_phi, alone.delta_phi)
-            assert batch[i].objective_value == alone.objective_value
+            np.testing.assert_array_equal(batch.delta_phi[i], alone.delta_phi)
+            assert batch.objective_value[i] == alone.objective_value
         np.testing.assert_array_equal(system.b_stacked(eta_bar)[1], system.b_stacked(eta_bar[1]))
 
     def test_check_stacking_catches_corrupt_stack(self, monkeypatch):
@@ -220,6 +233,7 @@ class TestSolver:
         sys_, eta_bar = random_problem(child_rng(21), 16, 2)
         report = solve_one(sys_, eta_bar, sys_.sigma_max_normalized)
         assert report.lambda_used == pytest.approx(sys_.sigma_max_normalized)
+        np.testing.assert_array_equal(report.rotation, np.exp(1j * report.delta_phi))
         assert report.max_abs_perturbation == pytest.approx(
             np.max(np.abs(report.delta_phi))
         )
@@ -227,17 +241,6 @@ class TestSolver:
         assert report.linearization_error_bound == pytest.approx(
             np.sum(report.delta_phi**2) / 2
         )
-
-
-class TestCompose:
-    def test_compose_shifts_phases(self):
-        base = np.exp(1j * np.array([0.0, 1.0]))
-        out = compose_phase(base, np.array([0.5, -0.5]))
-        np.testing.assert_allclose(out, np.exp(1j * np.array([0.5, 0.5])))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            compose_phase(np.ones(2, dtype=complex), np.zeros(3))
 
 
 class TestGainUpperBound:

@@ -163,10 +163,12 @@ class TestRandomization:
         sol = solve_sdp(problem, tol=1e-6)
         v, metrics = gaussian_randomization(sol.v_matrix, problem, 100, child_rng(6))
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
-        gains = np.array([g for g, _ in metrics.gains])
-        # the returned configuration is the very candidate its metrics scored
+        # the returned configuration is the very candidate its metrics scored, and the
+        # gains are one (linear, dB) pair per target, as perfbench's probe reads them
         scores = beam_gains(v, metric_factors(channels))
         assert scores[0] == metrics.snr_linear
+        assert metrics.gains.shape == (len(problem.q_targets), 2)
+        gains = np.array([g for g, _ in metrics.gains])
         np.testing.assert_array_equal(scores[1:], gains)
         assert np.all(gains >= 0.95 * problem.desired_gains)
         assert metrics.snr_linear <= sol.relaxed_objective * (1 + 1e-3)
