@@ -42,7 +42,7 @@ EXPERIMENT_NAMES = ("heatmap", "alpha-sweep", "weight-sweep", "aoa-scan", "compl
 DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_POLICY_GRID = ("adaptive", "fixed:0.1", "fixed:0.5")
 DEFAULT_RATIOS = (1.0, 2.0, 5.0, 10.0)
-DEFAULT_N_LIST = (64, 128, 256, 512)
+DEFAULT_N_LIST = (64, 256, 1024, 4096, 16384, 65536)
 
 
 @dataclass

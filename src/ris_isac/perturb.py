@@ -68,9 +68,9 @@ class PerturbationSystem:
 
     alignment: np.ndarray  # K x N unit-modulus exp(j*(ang(h)-ang(a_k)))
     scale: float  # sqrt(P*M*beta_g)
-    svd_u: np.ndarray  # 2K x 2K
+    svd_u: np.ndarray  # 2K x min(2K, N)
     svd_s: np.ndarray  # min(2K, N) singular values, descending
-    svd_vt: np.ndarray  # N x N
+    svd_vt: np.ndarray  # min(2K, N) x N
 
     @property
     def n_targets(self) -> int:
@@ -135,8 +135,8 @@ def build_system(
     h_ue: np.ndarray, a_targets: np.ndarray, gain_prefactor: float
 ) -> PerturbationSystem:
     """Assemble the linearized system of one realization, with target steering
-    a_targets (K, N), and its SVD, scaled by sqrt(gain_prefactor), the link gain
-    P*beta_g*M.
+    a_targets (K, N), and its thin SVD (no factor above 2K*N entries, O(K^2*N)
+    work), scaled by sqrt(gain_prefactor), the link gain P*beta_g*M.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
     weighted complex objective; check_stacking() verifies this for the
@@ -156,7 +156,7 @@ def build_system(
     align = np.exp(1j * (np.angle(h_ue) - np.angle(a_targets)))
     scale = float(np.sqrt(gain_prefactor))
     try:
-        u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=True)
+        u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     return PerturbationSystem(alignment=align, scale=scale, svd_u=u, svd_s=s, svd_vt=vt)
@@ -188,8 +188,8 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
 
     # a stack of C row-vector products, each rounded as it would be alone: a
     # (C, 2K) @ (2K, N) product rounds differently for different C
-    coeffs = filt * (b[:, None, :] @ system.svd_u)[:, 0, : len(s)]
-    delta_phi = (coeffs[:, None, :] @ system.svd_vt[: len(s)])[:, 0]
+    coeffs = filt * (b[:, None, :] @ system.svd_u)[:, 0]
+    delta_phi = (coeffs[:, None, :] @ system.svd_vt)[:, 0]
 
     rotation = np.exp(1j * delta_phi)
     eta = system.eta_exact_all(rotation)

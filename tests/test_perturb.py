@@ -171,11 +171,18 @@ class TestBuildSystem:
         with pytest.raises(NumericalError):
             sys_.check_stacking(batch)
 
-    def test_svd_shapes_full(self):
+    def test_svd_shapes_thin(self):
         sys_ = random_system(child_rng(16), 12, 2)
         assert sys_.svd_u.shape == (4, 4)
-        assert sys_.svd_vt.shape == (12, 12)
+        assert sys_.svd_vt.shape == (4, 12)
         assert np.all(np.diff(sys_.svd_s) <= 0)
+        # 2K > N: the thin factors are cut at N, not at 2K
+        with pytest.warns(IllPosedWarning):
+            wide = random_system(child_rng(16), 3, 5)
+        assert wide.svd_u.shape == (10, 3)
+        assert wide.svd_vt.shape == (3, 3)
+        assert wide.svd_s.shape == (3,)
+        assert np.all(np.diff(wide.svd_s) <= 0)
 
 
 class TestLambdaSchedules:

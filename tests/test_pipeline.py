@@ -99,6 +99,16 @@ class TestSolveScenario:
         )
         assert o.metrics.snr_linear[0] <= comm_only_metrics(o.realization).snr_linear + 1e-9
 
+    def test_large_surface_holds_no_n_by_n_factor(self, scenario):
+        """A 256x256 surface (N = 65 536) solves with factors of at most 2K*N entries."""
+        o = solve_scenario(scenario.replace(ris_rows=256, ris_cols=256))
+        assert np.isfinite(o.metrics.snr_db).all()
+        assert np.isfinite(o.metrics.gains).all()
+        system = o.realization.system
+        limit = 2 * system.n_targets * system.n_elements
+        for f in fields(PerturbationSystem):
+            assert np.size(getattr(system, f.name)) <= limit, f.name
+
 
 class TestDesignBatch:
     """All cells of one realization are designed in one batched call."""
