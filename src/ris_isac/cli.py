@@ -25,11 +25,11 @@ from .errors import (
     CapExceeded,
     ConfigError,
     Infeasible,
-    NonConvergence,
     NumericalError,
     RisIsacError,
 )
 from .perturb import gain_upper_bound
+from .pipeline import solve_scenario
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -149,8 +149,6 @@ def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_
 def cmd_solve(args) -> int:
     scenario, path = _load_scenario(args)
     t0 = time.perf_counter()
-    from .pipeline import solve_scenario
-
     outcome = solve_scenario(scenario)  # a batch of one design
     if args.out is not None:
         _write_manifest(args, path, scenario, [scenario.seed], time.perf_counter() - t0)
@@ -174,12 +172,14 @@ def cmd_experiment(args) -> int:
     scenario, path = _load_scenario(args)
     seeds = _seed_list(scenario, args.seeds)
     alphas = list(DEFAULT_ALPHAS)
-    if args.alphas:
+    if args.alphas is not None:
         try:  # each entry must pass the config's own alpha rule
             alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--alphas: {exc}") from None
     sdr_cap = args.sdr_cap if args.sdr_cap is not None else exp.DEFAULT_SDR_CAP
+    if sdr_cap < 0:
+        raise ConfigError(f"--sdr-cap: must be >= 0, got {sdr_cap}")
 
     t0 = time.perf_counter()
 
@@ -195,7 +195,8 @@ def cmd_experiment(args) -> int:
     elif args.name == "aoa-scan":
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
     else:  # complexity; argparse restricts the choices
-        result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario=scenario, sdr_cap=sdr_cap)
+        result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario, sdr_cap=sdr_cap)
+        seeds = [scenario.seed]  # the probe draws only the scenario's own realization
 
     out = Path(args.out)
     _write_manifest(args, path, scenario, seeds, time.perf_counter() - t0)
@@ -223,7 +224,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (NumericalError, NonConvergence, Infeasible) as exc:
+    except (NumericalError, Infeasible) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RisIsacError as exc:

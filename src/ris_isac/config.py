@@ -5,8 +5,8 @@ happens once when a scenario is turned into channels/constants, so the
 numerical core never mixes units.
 
 Each config type checks its own fields when it is built, so every
-LambdaPolicy, TargetSpec and ScenarioConfig that exists is valid: replace,
-with_weights and from_dict raise ConfigError rather than return a bad one.
+LambdaPolicy, TargetSpec and ScenarioConfig that exists is valid: replace
+and from_dict raise ConfigError rather than return a bad one.
 """
 
 from __future__ import annotations
@@ -67,33 +67,30 @@ def _as_tuple(value):
 
 @dataclass(frozen=True)
 class LambdaPolicy:
-    """Regularization policy: adaptive trade-off schedule or a fixed fraction
-    of the largest singular value."""
+    """Regularization policy: the adaptive trade-off schedule when fraction
+    is None, else that fixed fraction of the largest singular value."""
 
-    kind: str  # "adaptive" | "fixed_fraction"
     fraction: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("adaptive", "fixed_fraction"):
-            raise ConfigError(f"lambda_policy: unknown kind {self.kind!r}")
         _check_fields(self, "lambda_policy.")
-        if self.kind == "fixed_fraction" and (self.fraction is None or self.fraction < 0):
-            raise ConfigError("lambda_policy: fixed_fraction needs a nonnegative fraction")
+        if self.fraction is not None and self.fraction < 0:
+            raise ConfigError(f"lambda_policy: fraction must be >= 0, got {self.fraction!r}")
 
     @classmethod
     def parse(cls, text: str) -> "LambdaPolicy":
         text = text.strip()
         if text == "adaptive":
-            return cls("adaptive")
+            return cls()
         if text.startswith("fixed:"):
             try:
-                return cls("fixed_fraction", float(text.split(":", 1)[1]))
+                return cls(float(text.split(":", 1)[1]))
             except ValueError as exc:
                 raise ConfigError(f"lambda_policy: bad fraction in {text!r}") from exc
         raise ConfigError(f"lambda_policy: expected 'adaptive' or 'fixed:<c>', got {text!r}")
 
     def __str__(self) -> str:
-        if self.kind == "adaptive":
+        if self.fraction is None:
             return "adaptive"
         text = f"{self.fraction:g}"  # else the shortest text that parses back to the fraction
         return f"fixed:{text if float(text) == self.fraction else repr(float(self.fraction))}"
@@ -103,7 +100,7 @@ class LambdaPolicy:
         heavy when communication dominates, or fixed fraction * sigma_max."""
         if sigma_max < 0:
             raise ValueError("sigma_max must be nonnegative")
-        if self.kind == "adaptive":
+        if self.fraction is None:
             return (1.0 - alpha**2) * sigma_max
         lam = self.fraction * sigma_max
         if not math.isfinite(lam):
@@ -146,7 +143,7 @@ class ScenarioConfig:
     ue_pos: tuple[float, float]
     targets: tuple[TargetSpec, ...]
     alpha: float
-    lambda_policy: LambdaPolicy = field(default_factory=lambda: LambdaPolicy("adaptive"))
+    lambda_policy: LambdaPolicy = field(default_factory=LambdaPolicy)
     seed: int = 0
     bs_ris_exponent: float = 22.0
     ris_ue_exponent: float = 25.0
@@ -227,13 +224,6 @@ class ScenarioConfig:
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
-
-    def with_weights(self, weights) -> "ScenarioConfig":
-        if len(weights) != len(self.targets):
-            raise ConfigError("targets: weight count mismatch")
-        return self.replace(
-            targets=tuple(dataclasses.replace(t, weight=w) for t, w in zip(self.targets, weights))
-        )
 
     def to_dict(self) -> dict:
         d = asdict(self)

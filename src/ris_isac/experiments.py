@@ -83,6 +83,7 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     factorized once, goes with all cells to evaluate(real, cells), which
     returns one result per cell, and is dropped before the next seed.
     """
+    seeds = list(seeds)
     results = [[None] * len(seeds) for _ in cells]
     for j, seed in enumerate(seeds):
         real = realize(scenario.replace(seed=seed))
@@ -115,14 +116,14 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
 
     results = _run_cells(scenario, seeds, methods, patterns)
     # a running total in seed order; np.sum's pairwise order would move the last bits
-    return [sum(per_seed, np.zeros(len(steering))) / len(seeds) for per_seed in results]
+    return [sum(per_seed, np.zeros(len(steering))) / len(per_seed) for per_seed in results]
 
 
 def run_heatmap(
     scenario: ScenarioConfig,
     grid: GridSpec,
     method: str,
-    seeds=None,
+    seeds,
     sdr_cap: int = DEFAULT_SDR_CAP,
 ) -> SweepResult:
     """Seed-mean far-field beampattern gain over a spatial grid, one row per
@@ -136,7 +137,6 @@ def run_heatmap(
         raise ConfigError(f"unknown method {method!r}")
     if method == "sdr" and scenario.n_elements > sdr_cap:
         raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {sdr_cap}")
-    seeds = list(seeds) if seeds is not None else [scenario.seed]
     x, y = grid.centers()
     geom = ArrayGeometry.from_scenario(scenario)
 
@@ -171,7 +171,7 @@ def _design_rows(scenario, seeds, labelled_cells) -> list[dict]:
             for label, gamma_db, gains in zip(labels, snr_db, gains_db)
         ]
 
-    results = _run_cells(scenario, list(seeds), cells, rows_of)
+    results = _run_cells(scenario, seeds, cells, rows_of)
     return [row for per_seed in results for row in per_seed]
 
 
@@ -183,7 +183,7 @@ def sweep_alpha(
 ) -> SweepResult:
     """Proposed-method trade-off sweep over alpha for several ridge policies."""
     gain_cols = [f"gain_t{i + 1}_db" for i in range(len(scenario.targets))]
-    policies = [LambdaPolicy.parse(p) if isinstance(p, str) else p for p in lambda_policies]
+    policies = [LambdaPolicy.parse(p) for p in lambda_policies]
     rows = _design_rows(scenario, seeds, [
         ({"alpha": float(alpha), "lambda_policy": str(policy)},
          (float(alpha), scenario.weights, policy))
@@ -214,26 +214,16 @@ def sweep_weight_ratio(scenario: ScenarioConfig, ratios, seeds) -> SweepResult:
 
 def beampattern_vs_aoa(
     scenario: ScenarioConfig,
-    target_band=(85.0, 95.0),
-    band_resolution_deg: float = 1.0,
-    scan_grid_deg: float = 0.5,
-    seeds=None,
+    seeds,
     sdr_cap: int = DEFAULT_SDR_CAP,
 ) -> SweepResult:
     """Beampattern gain versus angle for an extended angular target region.
 
-    The band is expanded into uniformly spaced equal-weight virtual targets;
-    the scan grid always contains the exact user angle and the band samples.
+    The band 85-95 degrees is expanded into 11 equal-weight virtual targets
+    1 degree apart; the 0.5-degree scan grid also contains the band samples
+    and the exact user angle.
     """
-    lo, hi = float(target_band[0]), float(target_band[1])
-    if band_resolution_deg <= 0 or (hi - lo) < 0:
-        raise ConfigError("beampattern_vs_aoa: bad band specification")
-    n_steps = round((hi - lo) / band_resolution_deg)
-    if abs(lo + n_steps * band_resolution_deg - hi) > 1e-9:
-        raise ConfigError("beampattern_vs_aoa: band resolution must divide the band")
-    band_angles = lo + band_resolution_deg * np.arange(n_steps + 1)
-
-    seeds = list(seeds) if seeds is not None else [scenario.seed]
+    band_angles = 85.0 + 1.0 * np.arange(11)
     k = len(band_angles)
     band_scenario = scenario.replace(
         targets=tuple(TargetSpec(weight=1.0 / k, angle_deg=float(a)) for a in band_angles)
@@ -242,7 +232,7 @@ def beampattern_vs_aoa(
     ue_angle_deg = float(
         np.rad2deg(angle_from_positions(scenario.ris_pos, scenario.ue_pos))
     )
-    scan = np.arange(-180.0, 180.0, scan_grid_deg)
+    scan = np.arange(-180.0, 180.0, 0.5)
     scan = np.unique(np.concatenate([scan, band_angles, [ue_angle_deg]]))
 
     geom = ArrayGeometry.from_scenario(scenario)
@@ -261,37 +251,21 @@ def beampattern_vs_aoa(
     return SweepResult(fieldnames=("angle_deg", "method", "gain_db"), rows=tuple(rows))
 
 
-def _probe_scenario(scenario: ScenarioConfig, n_elements: int, k_targets: int) -> ScenarioConfig:
-    angles = np.linspace(60.0, 120.0, k_targets)
-    return scenario.replace(
-        ris_rows=1,
-        ris_cols=n_elements,
-        alpha=0.5,
-        targets=tuple(
-            TargetSpec(weight=1.0 / k_targets, angle_deg=float(a)) for a in angles
-        ),
-    )
-
-
 def run_complexity_probe(
     n_list,
-    k_targets: int = 2,
+    scenario: ScenarioConfig,
     repeats: int = 5,
-    scenario: ScenarioConfig | None = None,
     sdr_cap: int = DEFAULT_SDR_CAP,
 ) -> SweepResult:
     """Median wall time of the two solvers versus element count.
 
-    The proposed timing covers system build plus SVD solve for a fixed
-    channel realization; the SDR timing covers the splitting solve.  SDR
-    entries are only produced for N at or below the cap.
+    Each N is a 1 x N copy of the scenario at alpha 0.5 with two equal-weight
+    targets at 60 and 120 degrees.  The proposed timing covers system build
+    plus SVD solve for a fixed channel realization; the SDR timing covers the
+    splitting solve.  SDR entries are only produced for N at or below the cap.
     """
     if repeats < 1:
         raise ConfigError("run_complexity_probe: repeats must be >= 1")
-    if scenario is None:
-        from .config import load_default_scenario
-
-        scenario = load_default_scenario()
 
     def median_seconds(fn) -> float:
         fn()  # warm up
@@ -304,7 +278,10 @@ def run_complexity_probe(
 
     rows = []
     for n in n_list:
-        cell = _probe_scenario(scenario, int(n), k_targets)
+        cell = scenario.replace(
+            ris_rows=1, ris_cols=int(n), alpha=0.5,
+            targets=(TargetSpec(0.5, angle_deg=60.0), TargetSpec(0.5, angle_deg=120.0)),
+        )
         channels = build_channels(cell, child_rng(cell.seed, CHANNEL_STREAM))
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 

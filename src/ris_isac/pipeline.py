@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Metrics, metrics_for
-from .channel import ChannelSet, Rng, build_channels, child_rng
+from .channel import ChannelSet, build_channels, child_rng
 from .config import ScenarioConfig
 from .errors import ShapeError
 from .perturb import (
@@ -50,11 +50,9 @@ class SolveOutcome:
     v_final: np.ndarray  # the designed configurations (C, N) that metrics scores
 
 
-def realize(scenario: ScenarioConfig, rng: Rng | None = None) -> Realization:
-    """Draw the channels of one realization and factorize its system."""
-    if rng is None:
-        rng = child_rng(scenario.seed, CHANNEL_STREAM)
-    channels = build_channels(scenario, rng)
+def realize(scenario: ScenarioConfig) -> Realization:
+    """Draw the channels of the scenario's seed and factorize its system."""
+    channels = build_channels(scenario, child_rng(scenario.seed, CHANNEL_STREAM))
     return Realization(
         scenario=scenario,
         channels=channels,
@@ -81,7 +79,7 @@ def design(realization: Realization, cells) -> SolveOutcome:
     return SolveOutcome(realization, report, metrics_for(v_final, realization.channels), v_final)
 
 
-def solve_scenario(scenario: ScenarioConfig, rng: Rng | None = None) -> SolveOutcome:
+def solve_scenario(scenario: ScenarioConfig) -> SolveOutcome:
     """Run the full closed-form design for one fading realization: a batch of one."""
     cell = (scenario.alpha, scenario.weights, scenario.lambda_policy)
-    return design(realize(scenario, rng), [cell])
+    return design(realize(scenario), [cell])

@@ -275,7 +275,7 @@ def test_criterion_09_sdr_dominance(scenario):
     relaxed = sol.relaxed_objective
     tol_rel = 1e-3 * relaxed
 
-    proposed = solve_scenario(cell, child_rng(cell.seed, 0))
+    proposed = solve_scenario(cell)
     prop_gains = np.array([g for g, _ in proposed.metrics.gains[0]])
     prop_feasible = bool(np.all(prop_gains >= 0.95 * desired))
     prop_ok = (not prop_feasible) or proposed.metrics.snr_linear[0] <= relaxed + tol_rel

@@ -223,7 +223,7 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "frobnicate"])
 
-    @pytest.mark.parametrize("alphas", ["0.5,x", "1.5", "nan", "-1"])
+    @pytest.mark.parametrize("alphas", ["0.5,x", "1.5", "nan", "-1", ""])
     def test_bad_alphas_rejected_before_output(self, small_file, tmp_path, capsys, alphas):
         out = tmp_path / "exp"
         code = main([
@@ -233,6 +233,29 @@ class TestExperiment:
         assert code == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_sdr_cap_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "h"
+        code = main([
+            "experiment", "heatmap", "--method", "sdr", "--sdr-cap", "-3", "--out", str(out),
+        ])
+        assert code == EXIT_CONFIG
+        assert "--sdr-cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_complexity_manifest_records_probe_seed(self, small_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_N_LIST", (16,))
+        out = tmp_path / "c"
+        code = main([
+            "experiment", "complexity", "--scenario", small_file, "--seeds", "4",
+            "--sdr-cap", "0", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed_list"] == [ScenarioConfig.from_file(small_file).seed]
+        # a cap of 0 is valid and leaves only the proposed row
+        rows = (out / "complexity.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["16", "proposed"]]
 
     def test_seeds_must_be_positive(self, small_file, tmp_path):
         code = main([

@@ -3,18 +3,18 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ris_isac import ConfigError, LambdaPolicy, ScenarioConfig, TargetSpec
+from ris_isac import ConfigError, LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
 from ris_isac.config import default_scenario_path
 
 
 class TestLambdaPolicy:
     def test_parse_adaptive(self):
         p = LambdaPolicy.parse("adaptive")
-        assert p.kind == "adaptive" and str(p) == "adaptive"
+        assert p == LambdaPolicy() and str(p) == "adaptive"
 
     def test_parse_fixed(self):
         p = LambdaPolicy.parse("fixed:0.5")
-        assert p.kind == "fixed_fraction" and p.fraction == 0.5
+        assert p == LambdaPolicy(0.5)
         assert str(p) == "fixed:0.5"
 
     @pytest.mark.parametrize("bad", ["fixed:", "fixed:abc", "ridge", "", "0.5"])
@@ -24,18 +24,21 @@ class TestLambdaPolicy:
 
     def test_negative_fraction_rejected(self):
         with pytest.raises(ConfigError):
-            LambdaPolicy("fixed_fraction", -0.1)
+            LambdaPolicy(-0.1)
 
-    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), True, "0.5", None])
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), True, "0.5"])
     def test_nonfinite_fraction_rejected(self, fraction):
         with pytest.raises(ConfigError, match="lambda_policy"):
-            LambdaPolicy("fixed_fraction", fraction)
+            LambdaPolicy(fraction)
 
-    @given(st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @given(st.none() | st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     @example(0.123456789)
-    def test_parse_str_roundtrip(self, c):
-        p = LambdaPolicy("fixed_fraction", c)
-        assert LambdaPolicy.parse(str(p)).fraction == c
+    @example(None)
+    def test_parse_str_roundtrip(self, fraction):
+        p = LambdaPolicy(fraction)
+        assert LambdaPolicy.parse(str(p)) == p
+        held = load_default_scenario().replace(lambda_policy=p)
+        assert ScenarioConfig.from_dict(held.to_dict()) == held
 
 
 class TestTargetSpec:
@@ -74,7 +77,9 @@ class TestScenarioConfig:
 
     def test_weights_must_sum_to_one(self, scenario):
         with pytest.raises(ConfigError, match="sum to 1"):
-            scenario.with_weights((0.6, 0.6))
+            scenario.replace(targets=tuple(
+                TargetSpec(weight=0.6, angle_deg=t.angle_deg) for t in scenario.targets
+            ))
 
     def test_alpha_range(self, scenario):
         with pytest.raises(ConfigError, match="alpha"):
@@ -90,10 +95,9 @@ class TestScenarioConfig:
             lambda s: s.replace(alpha=float("nan")),
             lambda s: s.replace(lambda_policy="adaptive"),
             lambda s: s.replace(targets=[]),
-            lambda s: s.with_weights((float("nan"), 0.5)),
             lambda s: ScenarioConfig(**{**vars(s), "seed": -1}),
         ],
-        ids=["replace", "replace_policy_str", "replace_targets_list", "with_weights", "direct"],
+        ids=["replace", "replace_policy_str", "replace_targets_list", "direct"],
     )
     def test_every_construction_checks(self, scenario, build):
         with pytest.raises(ConfigError):
@@ -102,7 +106,7 @@ class TestScenarioConfig:
     def test_dict_roundtrip(self, scenario):
         again = ScenarioConfig.from_dict(scenario.to_dict())
         assert again == scenario
-        fixed = scenario.replace(lambda_policy=LambdaPolicy("fixed_fraction", 0.123456789))
+        fixed = scenario.replace(lambda_policy=LambdaPolicy(0.123456789))
         assert ScenarioConfig.from_dict(fixed.to_dict()) == fixed
 
     def test_missing_key_named(self, scenario):
@@ -130,7 +134,3 @@ class TestScenarioConfig:
     def test_shipped_file_exists(self):
         assert default_scenario_path().exists()
         json.loads(default_scenario_path().read_text())
-
-    def test_with_weights_length_check(self, scenario):
-        with pytest.raises(ConfigError):
-            scenario.with_weights((1.0,))

@@ -113,7 +113,10 @@ class TestSharedRealization:
         ]
         for row in r.rows:
             ratio = row["ratio"]
-            cell = base.with_weights((ratio / (1 + ratio), 1 / (1 + ratio)))
+            cell = base.replace(targets=(
+                TargetSpec(ratio / (1 + ratio), angle_deg=base.targets[0].angle_deg),
+                TargetSpec(1 / (1 + ratio), angle_deg=base.targets[1].angle_deg),
+            ))
             metrics = solve_scenario(cell.replace(seed=row["seed"])).metrics
             assert row["gamma_db"] == metrics.snr_db[0]
             assert (row["gain_t1_db"], row["gain_t2_db"]) == tuple(metrics.gains[0, :, 1])
@@ -138,7 +141,7 @@ class TestSweepWeightRatio:
 
 class TestAoaScan:
     def test_band_expansion_and_grid(self, small_scenario):
-        r = beampattern_vs_aoa(small_scenario, (85.0, 95.0), 1.0, 5.0, seeds=[1])
+        r = beampattern_vs_aoa(small_scenario, seeds=[1])
         assert {row["method"] for row in r.rows} == {"proposed", "sdr"}
         # scan grid contains the band samples and the exact user angle
         ue_deg = np.rad2deg(
@@ -147,19 +150,15 @@ class TestAoaScan:
         for needed in list(np.arange(85.0, 96.0)) + [ue_deg]:
             assert any(abs(row["angle_deg"] - needed) < 1e-9 for row in r.rows)
 
-    def test_band_resolution_must_divide(self, small_scenario):
-        with pytest.raises(ConfigError):
-            beampattern_vs_aoa(small_scenario, (85.0, 95.0), 3.0, seeds=[1])
-
     def test_large_surface_skips_sdr(self, scenario):
-        r = beampattern_vs_aoa(scenario, (85.0, 95.0), 5.0, 30.0, seeds=[1], sdr_cap=16)
+        r = beampattern_vs_aoa(scenario, seeds=[1], sdr_cap=16)
         assert {row["method"] for row in r.rows} == {"proposed"}
 
 
 class TestComplexityProbe:
-    def test_repeats_validated(self):
+    def test_repeats_validated(self, scenario):
         with pytest.raises(ConfigError):
-            run_complexity_probe([16], repeats=0)
+            run_complexity_probe([16], scenario, repeats=0)
 
     def test_rows_and_slope(self, scenario):
         r = run_complexity_probe([16, 32], repeats=2, scenario=scenario, sdr_cap=16)

@@ -56,8 +56,8 @@ class TestRisPhase:
         real = realize(small_scenario.replace(seed=seed))
         weights = (w, 1.0 - w)
         cells = [
-            (alpha, weights, LambdaPolicy("fixed_fraction", fraction)),
-            (alpha, weights, LambdaPolicy("adaptive")),
+            (alpha, weights, LambdaPolicy(fraction)),
+            (alpha, weights, LambdaPolicy()),
         ]
         np.testing.assert_allclose(np.abs(design(real, cells).v_final), 1.0, atol=1e-12)
 
@@ -187,17 +187,17 @@ class TestBuildSystem:
 
 class TestLambdaSchedules:
     def test_adaptive_endpoints(self):
-        adaptive = LambdaPolicy("adaptive")
+        adaptive = LambdaPolicy()
         assert adaptive.normalized(0.0, 3.0) == 3.0
         assert adaptive.normalized(1.0, 3.0) == 0.0
         assert adaptive.normalized(0.5, 4.0) == pytest.approx(3.0)
 
     def test_fixed_fraction(self):
-        assert LambdaPolicy("fixed_fraction", 0.1).normalized(0.5, 5.0) == pytest.approx(0.5)
+        assert LambdaPolicy(0.1).normalized(0.5, 5.0) == pytest.approx(0.5)
 
     @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1e6))
     def test_adaptive_nonnegative_decreasing(self, alpha, sigma):
-        lam = LambdaPolicy("adaptive").normalized(alpha, sigma)
+        lam = LambdaPolicy().normalized(alpha, sigma)
         assert 0.0 <= lam <= sigma
 
 

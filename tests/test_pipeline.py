@@ -8,7 +8,6 @@ from ris_isac import (
     NumericalError,
     PerturbationSystem,
     ShapeError,
-    child_rng,
     design,
     gain_upper_bound,
     realize,
@@ -56,11 +55,6 @@ class TestSolveScenario:
         a = solve_scenario(scenario)
         b = solve_scenario(scenario)
         assert a.metrics.snr_db[0] == b.metrics.snr_db[0]
-        np.testing.assert_array_equal(a.v_final, b.v_final)
-
-    def test_explicit_rng_matches_default(self, scenario):
-        a = solve_scenario(scenario)
-        b = solve_scenario(scenario, child_rng(scenario.seed, 0))
         np.testing.assert_array_equal(a.v_final, b.v_final)
 
     def test_frozen_reference_numbers(self, scenario):
@@ -115,7 +109,7 @@ class TestDesignBatch:
 
     def test_batch_matches_cells_alone(self, scenario):
         real = realize(scenario)
-        adaptive, fixed = LambdaPolicy("adaptive"), LambdaPolicy.parse("fixed:0.1")
+        adaptive, fixed = LambdaPolicy(), LambdaPolicy.parse("fixed:0.1")
         cells = [
             (0.0, scenario.weights, adaptive),
             (0.5, (0.8, 0.2), fixed),
@@ -140,7 +134,7 @@ class TestDesignBatch:
 
     def test_corrupt_cell_trips_taylor_check(self, scenario, monkeypatch):
         real = realize(scenario)
-        cells = [(a, scenario.weights, LambdaPolicy("adaptive")) for a in (0.2, 0.5, 0.8)]
+        cells = [(a, scenario.weights, LambdaPolicy()) for a in (0.2, 0.5, 0.8)]
         design(real, cells)
         exact = PerturbationSystem.eta_exact_all
 
@@ -159,4 +153,4 @@ class TestDesignBatch:
         stack = PerturbationSystem.a_stacked.fget
         monkeypatch.setattr(PerturbationSystem, "a_stacked", property(lambda s: 2.0 * stack(s)))
         with pytest.raises(NumericalError, match="stacked objective"):
-            design(real, [(0.5, scenario.weights, LambdaPolicy("adaptive"))])
+            design(real, [(0.5, scenario.weights, LambdaPolicy())])
