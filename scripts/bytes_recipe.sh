@@ -6,7 +6,7 @@
 #
 # Run it on two checkouts (say, a parent commit and a change), then compare
 # with `diff -r -x complexity -x manifest.json OUT1 OUT2`.  It writes the
-# quick reproduction tree, the AoA scan at the scenario's alpha = 1 (the
+# 3-seed reproduction tree, the AoA scan at the scenario's alpha = 1 (the
 # lambda = 0 pseudo-inverse path, where rounding shows first) on the shipped
 # scenario and on its 4x4 copy, five `solve` summaries (one on a 64x64 copy,
 # N = 4 096, where the factor shapes differ most from N x N), and the 20-seed
@@ -27,7 +27,7 @@ ris_isac() {
     python -m ris_isac.cli "$@"
 }
 
-python scripts/reproduce_experiments.py --quick --out "$OUT"
+python scripts/reproduce_experiments.py --seeds 3 --out "$OUT"
 ris_isac experiment aoa-scan --seeds 3 --out "$OUT/aoa_scan_alpha1"
 ris_isac experiment aoa-scan --seeds 3 --alpha 1 --scenario "$OUT/desk_scale.json" \
     --out "$OUT/aoa_scan_alpha1_desk_scale"

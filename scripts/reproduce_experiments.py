@@ -2,8 +2,9 @@
 """Regenerate every study as CSV files under an output directory.
 
 Runs the five experiments at their reference settings (heatmaps for all
-three methods use the desk-scale surface for the SDR variant).  Use
---quick for a fast 3-seed pass.  Everything the run writes, including the
+three methods use the desk-scale surface for the SDR variant), each with
+only the flags it reads; every study but the complexity probe takes --seeds.
+Use --seeds 3 for a fast pass.  Everything the run writes, including the
 desk-scale scenario file, stays under --out.
 
     python scripts/reproduce_experiments.py --out results/ --seeds 20
@@ -28,12 +29,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory root")
     parser.add_argument("--seeds", type=int, default=20, help="Monte Carlo seeds")
-    parser.add_argument("--quick", action="store_true", help="3 seeds instead of --seeds")
     args = parser.parse_args()
 
     out = Path(args.out)
-    seeds = 3 if args.quick else args.seeds
-    common = ["--seeds", str(seeds)]
+    common = ["--seeds", str(args.seeds)]
 
     # desk-scale copy of the shipped scenario for the SDR-inclusive studies
     small = load_default_scenario().replace(ris_rows=4, ris_cols=4, alpha=0.5)

@@ -1,13 +1,14 @@
 """Command-line entry point.
 
 Subcommands: `solve` (one scenario end to end, printed summary),
-`experiment` (CSV-producing studies), `validate` (config check only).
-Flags override scenario-file fields, which override built-in defaults.
-Exit codes: 0 success, 1 internal error (any other exception, reported on
-one line), 2 config error, 3 numerical error, 4 capability error.  Every
-output-producing run that succeeds writes a JSON manifest, with its wall
-time, after the run and before its results; a failed run writes nothing.
-The manifest pins everything needed to reproduce the run.
+`experiment <study>` (CSV-producing studies), `validate` (config check
+only); each takes only the flags it reads, and argparse rejects any other
+with exit 2.  Flags override scenario-file fields, which override defaults.
+Exit codes: 0 success, 1 internal error (any other exception, on one line),
+2 config error, 3 numerical error, 4 capability error.  An IllPosedWarning
+is one `warning:` line on stderr.  A successful run writes a JSON manifest
+that pins how to reproduce it, with its wall time, before its results; a
+failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -24,6 +25,7 @@ from .config import LambdaPolicy, ScenarioConfig, default_scenario_path
 from .errors import (
     CapExceeded,
     ConfigError,
+    IllPosedWarning,
     Infeasible,
     NumericalError,
     RisIsacError,
@@ -37,28 +39,31 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CAPABILITY = 4
 
-EXPERIMENT_NAMES = ("heatmap", "alpha-sweep", "weight-sweep", "aoa-scan", "complexity")
-
-DEFAULT_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_POLICY_GRID = ("adaptive", "fixed:0.1", "fixed:0.5")
 DEFAULT_RATIOS = (1.0, 2.0, 5.0, 10.0)
 DEFAULT_N_LIST = (64, 256, 1024, 4096, 16384, 65536)
 
-
-@dataclass
-class RunManifest:
-    """Everything needed to re-execute a run bit-identically."""
-
-    command: list[str]
-    scenario_path: str
-    resolved_config: dict
-    seed_list: list[int]
-    output_dir: str
-    tool_version: str
-    wall_time_s: float
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
+# Every flag of the CLI; each subcommand and study takes the ones it reads.
+FLAGS = {
+    "--scenario": dict(help="scenario JSON path"),
+    "--seed": dict(type=int, help="root seed override"),
+    "--alpha": dict(type=float, help="trade-off override"),
+    "--lambda-policy": dict(help="adaptive | fixed:<c>"),
+    "--out": dict(help="output directory"),
+    "--seeds": dict(type=int, default=1, help="number of Monte Carlo seeds"),
+    "--alphas": dict(default="0,0.25,0.5,0.75,1", help="comma-separated alpha list"),
+    "--method": dict(choices=("proposed", "sdr", "comm-only"), default="proposed",
+                     help="design method"),
+    "--sdr-cap": dict(type=int, help="largest element count SDR runs at; 0 turns SDR off"),
+}
+# Each study and the flags it reads besides --scenario, --seed, --lambda-policy, --out.
+STUDIES = {
+    "heatmap": ("--seeds", "--alpha", "--method", "--sdr-cap"),
+    "alpha-sweep": ("--seeds", "--alphas"),
+    "weight-sweep": ("--seeds", "--alpha"),
+    "aoa-scan": ("--seeds", "--alpha", "--sdr-cap"),
+    "complexity": ("--sdr-cap",),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,42 +74,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--scenario", type=str, default=None, help="scenario JSON path")
-        p.add_argument("--seed", type=int, default=None, help="root seed override")
-        p.add_argument("--alpha", type=float, default=None, help="trade-off override")
-        p.add_argument(
-            "--lambda-policy",
-            dest="lambda_policy",
-            type=str,
-            default=None,
-            help="adaptive | fixed:<c>",
-        )
+    def add(subparsers, name, flags, **kwargs):
+        p = subparsers.add_parser(name, **kwargs)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one scenario and print the summary")
-    add_common(p_solve)
-    p_solve.add_argument("--out", type=str, default=None, help="directory for the manifest")
-
-    p_exp = sub.add_parser("experiment", help="run a CSV-producing study")
-    p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
-    add_common(p_exp)
-    p_exp.add_argument("--out", type=str, default=".", help="output directory")
-    p_exp.add_argument("--seeds", type=int, default=None, help="number of Monte Carlo seeds")
-    p_exp.add_argument(
-        "--alphas", type=str, default=None, help="comma-separated alpha list (alpha-sweep)"
-    )
-    p_exp.add_argument(
-        "--method",
-        choices=("proposed", "sdr", "comm-only"),
-        default="proposed",
-        help="design method (heatmap)",
-    )
-    p_exp.add_argument("--sdr-cap", dest="sdr_cap", type=int, default=None)
-
-    p_val = sub.add_parser("validate", help="check a scenario file without solving")
-    p_val.add_argument("--scenario", type=str, default=None)
-
+    add(sub, "solve", ("--scenario", "--seed", "--alpha", "--lambda-policy", "--out"),
+        help="solve one scenario and print the summary")
+    studies = add(sub, "experiment", (), help="run a CSV-producing study")
+    studies = studies.add_subparsers(dest="name", required=True)
+    for name, flags in STUDIES.items():  # exact names only: --alpha is not --alphas
+        add(studies, name, ("--scenario", "--seed", "--lambda-policy", "--out", *flags),
+            allow_abbrev=False).set_defaults(out=".")
+    add(sub, "validate", ("--scenario",), help="check a scenario file without solving")
     return parser
+
+
+PARSER = _build_parser()
 
 
 def _load_scenario(args) -> tuple[ScenarioConfig, str]:
@@ -122,20 +109,13 @@ def _load_scenario(args) -> tuple[ScenarioConfig, str]:
     return scenario, path
 
 
-def _seed_list(scenario: ScenarioConfig, n_seeds: int | None) -> list[int]:
-    """Expand the root seed to a contiguous block of child seeds."""
-    n = n_seeds if n_seeds is not None else 1
-    if n < 1:
-        raise ConfigError("--seeds: must be >= 1")
-    return [scenario.seed + i for i in range(n)]
-
-
 def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_s) -> None:
     """Create the output directory and write the manifest of a run that has
-    finished, before any of its results."""
+    finished, before any of its results: everything needed to re-execute the
+    run bit-identically."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    RunManifest(
+    manifest = dict(
         command=args.argv,
         scenario_path=path,
         resolved_config=scenario.to_dict(),
@@ -143,7 +123,8 @@ def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_
         output_dir=str(out),
         tool_version=__version__,
         wall_time_s=wall_time_s,
-    ).write(out / "manifest.json")
+    )
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def cmd_solve(args) -> int:
@@ -170,14 +151,12 @@ def cmd_experiment(args) -> int:
     from . import experiments as exp
 
     scenario, path = _load_scenario(args)
-    seeds = _seed_list(scenario, args.seeds)
-    alphas = list(DEFAULT_ALPHAS)
-    if args.alphas is not None:
-        try:  # each entry must pass the config's own alpha rule
-            alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"--alphas: {exc}") from None
-    sdr_cap = args.sdr_cap if args.sdr_cap is not None else exp.DEFAULT_SDR_CAP
+    n_seeds = getattr(args, "seeds", 1)  # the probe has no --seeds: it draws one seed
+    if n_seeds < 1:
+        raise ConfigError("--seeds: must be >= 1")
+    seeds = [scenario.seed + i for i in range(n_seeds)]  # a contiguous block of child seeds
+    sdr_cap = getattr(args, "sdr_cap", None)
+    sdr_cap = exp.DEFAULT_SDR_CAP if sdr_cap is None else sdr_cap
     if sdr_cap < 0:
         raise ConfigError(f"--sdr-cap: must be >= 0, got {sdr_cap}")
 
@@ -188,6 +167,10 @@ def cmd_experiment(args) -> int:
         method = args.method.replace("-", "_")
         result = exp.run_heatmap(scenario, grid, method, seeds=seeds, sdr_cap=sdr_cap)
     elif args.name == "alpha-sweep":
+        try:  # each entry must pass the config's own alpha rule
+            alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--alphas: {exc}") from None
         policies = [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
         result = exp.sweep_alpha(scenario, alphas, policies, seeds)
     elif args.name == "weight-sweep":
@@ -196,7 +179,6 @@ def cmd_experiment(args) -> int:
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
     else:  # complexity; argparse restricts the choices
         result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario, sdr_cap=sdr_cap)
-        seeds = [scenario.seed]  # the probe draws only the scenario's own realization
 
     out = Path(args.out)
     _write_manifest(args, path, scenario, seeds, time.perf_counter() - t0)
@@ -213,8 +195,21 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     args.argv = argv  # the manifest records the arguments this run parsed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IllPosedWarning)
+        code = _run(args)
+    ill_posed = [str(w.message) for w in caught if w.category is IllPosedWarning]
+    for message in dict.fromkeys(ill_posed):  # one line for each distinct message
+        print(f"warning: {message}", file=sys.stderr)
+    for w in caught:  # any other warning shows as Python shows it
+        if w.category is not IllPosedWarning:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
+
+
+def _run(args) -> int:
     commands = {"solve": cmd_solve, "experiment": cmd_experiment, "validate": cmd_validate}
     try:
         return commands[args.command](args)

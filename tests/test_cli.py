@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -167,6 +168,17 @@ class TestSolve:
         assert main(["solve"]) == EXIT_INTERNAL
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    def test_other_warnings_pass_through(self, monkeypatch):
+        def warn(args):
+            warnings.warn("boom", RuntimeWarning)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_solve", warn)
+        with pytest.warns(RuntimeWarning, match="boom"):
+            assert main(["solve"]) == EXIT_OK
+        # under the suite's filterwarnings = error it still fails the run
+        assert main(["solve"]) == EXIT_INTERNAL
+
     def test_manifest_written(self, tmp_path):
         out_dir = tmp_path / "run"
         assert main(["solve", "--out", str(out_dir)]) == EXIT_OK
@@ -247,7 +259,7 @@ class TestExperiment:
         monkeypatch.setattr(cli, "DEFAULT_N_LIST", (16,))
         out = tmp_path / "c"
         code = main([
-            "experiment", "complexity", "--scenario", small_file, "--seeds", "4",
+            "experiment", "complexity", "--scenario", small_file,
             "--sdr-cap", "0", "--out", str(out),
         ])
         assert code == EXIT_OK
@@ -256,6 +268,45 @@ class TestExperiment:
         # a cap of 0 is valid and leaves only the proposed row
         rows = (out / "complexity.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:2] for r in rows] == [["16", "proposed"]]
+
+    @pytest.mark.parametrize("study, flag, value", [
+        ("heatmap", "--alphas", "0.5"),
+        ("alpha-sweep", "--alpha", "0.5"),
+        ("alpha-sweep", "--method", "sdr"),
+        ("alpha-sweep", "--sdr-cap", "5"),
+        ("weight-sweep", "--alphas", "0.3"),
+        ("weight-sweep", "--method", "sdr"),
+        ("weight-sweep", "--sdr-cap", "5"),
+        ("aoa-scan", "--alphas", "0.5"),
+        ("aoa-scan", "--method", "sdr"),
+        ("complexity", "--seeds", "4"),
+        ("complexity", "--alpha", "0.5"),
+        ("complexity", "--alphas", "0.5"),
+        ("complexity", "--method", "sdr"),
+    ])
+    def test_unread_flag_rejected_before_output(self, tmp_path, capsys, study, flag, value):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", study, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["1", "2"])
+    def test_ill_posed_design_warns_on_one_line(self, tmp_path, scenario, capsys, seeds):
+        """11 band targets on a 3x3 surface exceed N = 9; the scan still runs."""
+        p = tmp_path / "three.json"
+        p.write_text(json.dumps(scenario.replace(ris_rows=3, ris_cols=3).to_dict()))
+        out = tmp_path / "scan"
+        code = main([
+            "experiment", "aoa-scan", "--scenario", str(p), "--seeds", seeds,
+            "--sdr-cap", "0", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: 11 targets exceed 9 RIS elements; system is overdetermined\n"
+        )
+        assert len((out / "aoa_scan.csv").read_text().splitlines()) == 1 + 721
 
     def test_seeds_must_be_positive(self, small_file, tmp_path):
         code = main([
