@@ -8,7 +8,7 @@ targets, benchmarked against a semidefinite-relaxation solver.
 __version__ = "0.1.0"
 
 from .beamforming import Metrics
-from .channel import ArrayGeometry, ChannelSet, build_channels, child_rng
+from .channel import ChannelSet, build_channels, child_rng
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
 from .errors import (
     CapExceeded,
@@ -33,7 +33,6 @@ from .sdr import SdpProblem, SdrSolution, gaussian_randomization, solve_sdp
 
 __all__ = [
     "__version__",
-    "ArrayGeometry",
     "CapExceeded",
     "ChannelSet",
     "ConfigError",

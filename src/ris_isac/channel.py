@@ -8,8 +8,10 @@ steering as one (K, N) array with a row per target.  Angles are measured
 at each array from the global +x axis (atan2 convention); the config layer
 accepts degrees, everything here is radians.
 
-The RIS element index n runs 0..N-1 with horizontal index n_H = n mod N_H
-and vertical index n_V = n // N_H.  The per-element offsets are centered
+The steering functions take the ScenarioConfig itself: its carrier sets the
+wavenumber and the half-wavelength spacing, its ris_rows and ris_cols the
+array.  The RIS element index n runs 0..N-1 with horizontal index
+n_H = n mod N_H and vertical index n_V = n // N_H.  The offsets are centered
 with an (N+1)/2 shift, which leaves a global phase on every steering
 vector; all metrics are moduli, so that phase is irrelevant as long as
 every vector uses the same convention.
@@ -21,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, _from_db
+from .config import SPEED_OF_LIGHT, ScenarioConfig, _from_db  # SPEED_OF_LIGHT: re-exported
 from .errors import DegenerateGeometry
-
-SPEED_OF_LIGHT = 299792458.0
 
 Rng = np.random.Generator
 
@@ -41,36 +41,6 @@ def child_rng(root_seed: int, *indices: int) -> Rng:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(indices)))
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Carrier and element counts of the RIS, spaced at half a wavelength."""
-
-    carrier_hz: float
-    ris_cols: int  # N_H
-    ris_rows: int  # N_V
-
-    @property
-    def n_elements(self) -> int:
-        return self.ris_cols * self.ris_rows
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi * self.carrier_hz / SPEED_OF_LIGHT
-
-    @property
-    def spacing(self) -> float:
-        """Half-wavelength element spacing, in meters."""
-        return SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
-
-    @classmethod
-    def from_scenario(cls, scenario: ScenarioConfig) -> "ArrayGeometry":
-        return cls(
-            carrier_hz=scenario.carrier_hz,
-            ris_cols=scenario.ris_cols,
-            ris_rows=scenario.ris_rows,
-        )
-
-
 def angle_from_positions(origin, point) -> float:
     """atan2 angle of `point` as seen from `origin`, in (-pi, pi]."""
     dx = float(point[0]) - float(origin[0])
@@ -80,24 +50,24 @@ def angle_from_positions(origin, point) -> float:
     return float(np.arctan2(dy, dx))
 
 
-def _ris_offsets(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(geom.n_elements)
-    n_h = np.mod(n, geom.ris_cols)
-    n_v = n // geom.ris_cols
+def _ris_offsets(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    n = np.arange(scenario.n_elements)
+    n_h = np.mod(n, scenario.ris_cols)
+    n_v = n // scenario.ris_cols
     return (
-        (n_v - (geom.ris_rows + 1) / 2.0) * geom.spacing,
-        (n_h - (geom.ris_cols + 1) / 2.0) * geom.spacing,
+        (n_v - (scenario.ris_rows + 1) / 2.0) * scenario.spacing,
+        (n_h - (scenario.ris_cols + 1) / 2.0) * scenario.spacing,
     )
 
 
-def ris_steering_tx(geom: ArrayGeometry, theta: float) -> np.ndarray:
+def ris_steering_tx(scenario: ScenarioConfig, theta: float) -> np.ndarray:
     """RIS array response on the BS side (+cos horizontal term)."""
-    off_v, off_h = _ris_offsets(geom)
-    phase = -geom.wavenumber * (off_v * np.sin(theta) + off_h * np.cos(theta))
+    off_v, off_h = _ris_offsets(scenario)
+    phase = -scenario.wavenumber * (off_v * np.sin(theta) + off_h * np.cos(theta))
     return np.exp(1j * phase)
 
 
-def ris_steering_rx(geom: ArrayGeometry, theta: float | np.ndarray) -> np.ndarray:
+def ris_steering_rx(scenario: ScenarioConfig, theta: float | np.ndarray) -> np.ndarray:
     """RIS array response toward a target or the user (-cos horizontal term).
 
     theta may also be an array of angles; the result then has one row per
@@ -105,9 +75,9 @@ def ris_steering_rx(geom: ArrayGeometry, theta: float | np.ndarray) -> np.ndarra
     purpose; the two link directions use opposite horizontal conventions
     and must not be unified.
     """
-    off_v, off_h = _ris_offsets(geom)
+    off_v, off_h = _ris_offsets(scenario)
     theta = np.asarray(theta, dtype=float)[..., None]
-    phase = -geom.wavenumber * (off_v * np.sin(theta) - off_h * np.cos(theta))
+    phase = -scenario.wavenumber * (off_v * np.sin(theta) - off_h * np.cos(theta))
     return np.exp(1j * phase)
 
 
@@ -171,15 +141,14 @@ def target_angle(scenario: ScenarioConfig, index: int) -> float:
 
 def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     """Instantiate every channel quantity for one fading realization."""
-    geom = ArrayGeometry.from_scenario(scenario)
     beta_g, beta_ue = path_gains(scenario)
 
     theta_link = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)
     target_thetas = [target_angle(scenario, k) for k in range(len(scenario.targets))]
 
-    g_ris = ris_steering_tx(geom, theta_link)
-    a_ue = ris_steering_rx(geom, theta_ue)
+    g_ris = ris_steering_tx(scenario, theta_link)
+    a_ue = ris_steering_rx(scenario, theta_ue)
     h_ue = rician_user_channel(a_ue, scenario.rician_kappa, beta_ue, rng)
 
     return ChannelSet(
@@ -187,5 +156,5 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
         noise_power_w=scenario.noise_power_w,
         g_ris=g_ris,
         h_ue=h_ue,
-        a_targets=ris_steering_rx(geom, target_thetas),
+        a_targets=ris_steering_rx(scenario, target_thetas),
     )

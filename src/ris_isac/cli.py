@@ -5,10 +5,11 @@ Subcommands: `solve` (one scenario end to end, printed summary),
 only); each takes only the flags it reads, and argparse rejects any other
 with exit 2.  Flags override scenario-file fields, which override defaults.
 Exit codes: 0 success, 1 internal error (any other exception, on one line),
-2 config error, 3 numerical error, 4 capability error.  An IllPosedWarning
-is one `warning:` line on stderr.  A successful run writes a JSON manifest
-that pins how to reproduce it, with its wall time, before its results; a
-failed run writes nothing.
+2 config error (also a scenario file that cannot be read or is not a JSON
+object, and an --out that cannot be made), 3 numerical error, 4 capability
+error.  An IllPosedWarning is one `warning:` line on stderr.  A successful
+run writes a JSON manifest that pins how to reproduce it, with its wall
+time, before its results; a failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ EXIT_NUMERICAL = 3
 EXIT_CAPABILITY = 4
 
 DEFAULT_POLICY_GRID = ("adaptive", "fixed:0.1", "fixed:0.5")
-DEFAULT_RATIOS = (1.0, 2.0, 5.0, 10.0)
 DEFAULT_N_LIST = (64, 256, 1024, 4096, 16384, 65536)
 
 # Every flag of the CLI; each subcommand and study takes the ones it reads.
@@ -114,7 +114,10 @@ def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_
     finished, before any of its results: everything needed to re-execute the
     run bit-identically."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from None
     manifest = dict(
         command=args.argv,
         scenario_path=path,
@@ -163,9 +166,7 @@ def cmd_experiment(args) -> int:
     t0 = time.perf_counter()
 
     if args.name == "heatmap":
-        grid = exp.GridSpec(0.0, 120.0, -40.0, 40.0, 2.0)
-        method = args.method.replace("-", "_")
-        result = exp.run_heatmap(scenario, grid, method, seeds=seeds, sdr_cap=sdr_cap)
+        result = exp.run_heatmap(scenario, args.method, seeds=seeds, sdr_cap=sdr_cap)
     elif args.name == "alpha-sweep":
         try:  # each entry must pass the config's own alpha rule
             alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
@@ -174,7 +175,7 @@ def cmd_experiment(args) -> int:
         policies = [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
         result = exp.sweep_alpha(scenario, alphas, policies, seeds)
     elif args.name == "weight-sweep":
-        result = exp.sweep_weight_ratio(scenario, DEFAULT_RATIOS, seeds)
+        result = exp.sweep_weight_ratio(scenario, seeds)
     elif args.name == "aoa-scan":
         result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
     else:  # complexity; argparse restricts the choices

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+SPEED_OF_LIGHT = 299792458.0
 WEIGHT_SUM_TOL = 1e-12
 # Every linear link quantity must lie in [1/LINK_BUDGET_LIMIT, LINK_BUDGET_LIMIT]: eight
 # decades inside the float range, so fading and beam nulls cannot over- or underflow a metric.
@@ -153,6 +154,15 @@ class ScenarioConfig:
         return self.ris_rows * self.ris_cols
 
     @property
+    def wavenumber(self) -> float:
+        return 2.0 * math.pi * self.carrier_hz / SPEED_OF_LIGHT
+
+    @property
+    def spacing(self) -> float:
+        """Half-wavelength RIS element spacing, in meters."""
+        return SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
+
+    @property
     def transmit_power_w(self) -> float:
         return _from_db(self.transmit_power_dbm - 30.0)
 
@@ -171,7 +181,7 @@ class ScenarioConfig:
         """Check each field against the kind its annotation names, then the
         cross-field rules; raises ConfigError naming the field.  It runs on
         every construction, so a ScenarioConfig that exists has passed it."""
-        from .channel import ArrayGeometry, path_gains  # channel imports this module
+        from .channel import path_gains  # channel imports this module
 
         _check_fields(self)
         if not isinstance(self.lambda_policy, LambdaPolicy):
@@ -204,7 +214,6 @@ class ScenarioConfig:
             if t.position is not None and tuple(t.position) == tuple(self.ris_pos):
                 raise ConfigError(f"targets[{i}]: position coincides with ris_pos")
         beta_g, beta_ue = path_gains(self)
-        geom = ArrayGeometry.from_scenario(self)
         gain_ceiling = self.transmit_power_w * beta_g * self.bs_antennas * self.n_elements**2
         for name, linear in (
             ("transmit_power_dbm", self.transmit_power_w),
@@ -214,7 +223,7 @@ class ScenarioConfig:
             ("ris_ue_exponent", beta_ue),
             # phase span of both arrays, about pi * elements when it is finite
             ("carrier_hz",
-             geom.wavenumber * ((self.bs_antennas + self.n_elements) * geom.spacing)),
+             self.wavenumber * ((self.bs_antennas + self.n_elements) * self.spacing)),
             ("transmit_power_dbm (gain ceiling)", gain_ceiling),
             ("noise_power_dbm (line-of-sight SNR)",
              gain_ceiling * beta_ue * _from_db(30.0 - self.noise_power_dbm)),
@@ -235,6 +244,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"top level: must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         missing = [
             f.name for f in fields(cls)
@@ -273,12 +284,17 @@ class ScenarioConfig:
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
         path = Path(path)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"scenario file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scenario file {path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(data)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"scenario file {path}: unreadable ({exc})") from exc
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"scenario file {path}: {exc}") from None
 
 
 def default_scenario_path() -> Path:

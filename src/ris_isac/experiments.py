@@ -15,21 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import beam_factors, beam_gains, to_db
-from .channel import (
-    ArrayGeometry,
-    angle_from_positions,
-    build_channels,
-    child_rng,
-    ris_steering_rx,
-)
+from .channel import angle_from_positions, child_rng, ris_steering_rx
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
 from .perturb import build_system, eta_targets, solve_perturbation
-from .pipeline import CHANNEL_STREAM, design, realize
+from .pipeline import design, realize
 from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
 DEFAULT_SDR_CAP = 64
-DEFAULT_SDR_TRIALS = 100
+WEIGHT_RATIOS = (1.0, 2.0, 5.0, 10.0)
 _SDR_STREAM = 1
 
 FLOAT_FMT = "%.9g"
@@ -61,21 +55,6 @@ class SweepResult:
         write_csv(path, self.fieldnames, self.rows)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    resolution_m: float
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        step = self.resolution_m
-        x = np.arange(self.x_min + step / 2.0, self.x_max, step)
-        y = np.arange(self.y_min + step / 2.0, self.y_max, step)
-        return x, y
-
-
 def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     """Evaluate every cell on every seed; returns results[cell][seed].
 
@@ -95,16 +74,14 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
 def _method_phase(real, method):
     """RIS configuration (N,) of one realization under the requested design method."""
     s = real.scenario
-    if method == "comm_only":
+    if method == "comm-only":
         return real.v_comm
     if method == "proposed":
         return design(real, [(s.alpha, s.weights, s.lambda_policy)]).v_final[0]
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
-    return gaussian_randomization(
-        solution.v_matrix, problem, DEFAULT_SDR_TRIALS, child_rng(s.seed, _SDR_STREAM)
-    )[0]
+    return gaussian_randomization(solution.v_matrix, problem, child_rng(s.seed, _SDR_STREAM))[0]
 
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
@@ -121,28 +98,26 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
 
 def run_heatmap(
     scenario: ScenarioConfig,
-    grid: GridSpec,
     method: str,
     seeds,
     sdr_cap: int = DEFAULT_SDR_CAP,
 ) -> SweepResult:
-    """Seed-mean far-field beampattern gain over a spatial grid, one row per
-    grid cell, y outer and x inner.
+    """Seed-mean far-field beampattern gain over a fixed spatial grid, one
+    row per grid cell, y outer and x inner.
 
-    Each grid cell is scored by the gain toward its angle as seen from the
-    RIS (angle-only, no range falloff); the rendering is relative, so only
-    gaps between regions are meaningful.
+    The grid covers x in [0, 120] m and y in [-40, 40] m with 2 m cells:
+    60 x 40 cell centers from (1, -39) to (119, 39).  Each grid cell is
+    scored by the gain toward its angle as seen from the RIS (angle-only,
+    no range falloff); the rendering is relative, so only gaps between
+    regions are meaningful.
     """
-    if method not in ("proposed", "sdr", "comm_only"):
+    if method not in ("proposed", "sdr", "comm-only"):
         raise ConfigError(f"unknown method {method!r}")
     if method == "sdr" and scenario.n_elements > sdr_cap:
         raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {sdr_cap}")
-    x, y = grid.centers()
-    geom = ArrayGeometry.from_scenario(scenario)
-
-    xx, yy = np.meshgrid(x, y)
+    xx, yy = np.meshgrid(np.arange(1.0, 120.0, 2.0), np.arange(-39.0, 40.0, 2.0))
     angles = np.arctan2(yy - scenario.ris_pos[1], xx - scenario.ris_pos[0]).ravel()
-    steering = ris_steering_rx(geom, angles)
+    steering = ris_steering_rx(scenario, angles)
     (mean,) = _seed_mean_patterns(scenario, seeds, [method], steering)
 
     rows = [
@@ -195,17 +170,13 @@ def sweep_alpha(
     )
 
 
-def sweep_weight_ratio(scenario: ScenarioConfig, ratios, seeds) -> SweepResult:
-    """Fairness sweep over the weight ratio of a two-target scenario."""
+def sweep_weight_ratio(scenario: ScenarioConfig, seeds) -> SweepResult:
+    """Fairness sweep of a two-target scenario over the WEIGHT_RATIOS w_1/w_2."""
     if len(scenario.targets) != 2:
         raise ConfigError("sweep_weight_ratio: scenario must have exactly two targets")
-    ratios = [float(r) for r in ratios]
-    if any(r <= 0 for r in ratios):
-        raise ConfigError("sweep_weight_ratio: ratios must be positive")
-
     rows = _design_rows(scenario, seeds, [
         ({"ratio": r}, (scenario.alpha, (r / (1 + r), 1 / (1 + r)), scenario.lambda_policy))
-        for r in ratios
+        for r in WEIGHT_RATIOS
     ])
     return SweepResult(
         fieldnames=("ratio", "seed", "gamma_db", "gain_t1_db", "gain_t2_db"), rows=tuple(rows)
@@ -235,8 +206,7 @@ def beampattern_vs_aoa(
     scan = np.arange(-180.0, 180.0, 0.5)
     scan = np.unique(np.concatenate([scan, band_angles, [ue_angle_deg]]))
 
-    geom = ArrayGeometry.from_scenario(scenario)
-    steering = ris_steering_rx(geom, np.deg2rad(scan))
+    steering = ris_steering_rx(scenario, np.deg2rad(scan))
 
     methods = ["proposed"]
     if scenario.n_elements <= sdr_cap:
@@ -282,7 +252,7 @@ def run_complexity_probe(
             ris_rows=1, ris_cols=int(n), alpha=0.5,
             targets=(TargetSpec(0.5, angle_deg=60.0), TargetSpec(0.5, angle_deg=120.0)),
         )
-        channels = build_channels(cell, child_rng(cell.seed, CHANNEL_STREAM))
+        channels = realize(cell).channels
         eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
 
         def proposed_once():

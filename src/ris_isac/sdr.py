@@ -21,7 +21,7 @@ import numpy as np
 
 from .beamforming import Metrics, beam_gains, metric_factors
 from .channel import ChannelSet, Rng
-from .errors import ConfigError, Infeasible, NonConvergence, NumericalError
+from .errors import Infeasible, NonConvergence, NumericalError
 from .perturb import gain_upper_bound
 
 DEFAULT_TOL = 1e-5
@@ -30,6 +30,7 @@ _BALANCE_EVERY = 50
 _BALANCE_RATIO = 10.0
 _STAGNATION_WINDOW = 500
 _STAGNATION_RTOL = 1e-4
+RANDOMIZATION_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -186,25 +187,23 @@ def solve_sdp(
 def gaussian_randomization(
     v_matrix: np.ndarray,
     problem: SdpProblem,
-    trials: int,
     rng: Rng,
     slack: float = 0.05,
 ) -> tuple[np.ndarray, Metrics]:
     """Extract a unit-modulus phase vector from the relaxed solution.
 
-    Candidates are drawn as complex Gaussians with covariance v_matrix and
-    projected entrywise to unit modulus.  Among candidates meeting every
-    gain floor within the given relative slack, the one with the best SNR
-    wins; if none qualifies, the candidate with the best worst-case
-    floor ratio is returned.  The vector (N,) returned is the one its Metrics scored.
+    RANDOMIZATION_TRIALS candidates are drawn as complex Gaussians with
+    covariance v_matrix and projected entrywise to unit modulus.  Among
+    candidates meeting every gain floor within the given relative slack,
+    the one with the best SNR wins; if none qualifies, the candidate with
+    the best worst-case floor ratio is returned.  The vector (N,) returned
+    is the one its Metrics scored.
     """
-    if trials < 1:
-        raise ConfigError("gaussian_randomization: trials must be >= 1")
     w, q = np.linalg.eigh(0.5 * (v_matrix + v_matrix.conj().T))
     chol_like = q * np.sqrt(np.maximum(w, 0.0))
 
     # trial t draws its real then its imaginary parts, as one draw per trial would
-    draws = rng.standard_normal((trials, 2, problem.n_elements))
+    draws = rng.standard_normal((RANDOMIZATION_TRIALS, 2, problem.n_elements))
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     candidates = np.exp(1j * np.angle(noise @ chol_like.T))
     scores = beam_gains(candidates, np.vstack([problem.q_ue, problem.q_targets]))

@@ -4,23 +4,25 @@ in their general pre-MRT form, which the factored forms in
 
 import numpy as np
 
-from ris_isac.channel import ArrayGeometry, angle_from_positions
+from ris_isac.channel import angle_from_positions
 from ris_isac.errors import DegenerateGeometry, ShapeError
 
 
-def bs_steering(m_antennas: int, theta_tx: float, geom: ArrayGeometry) -> np.ndarray:
-    """BS array response for a departure angle; entries are unit modulus."""
+def bs_steering(m_antennas: int, theta_tx: float, scenario) -> np.ndarray:
+    """BS array response for a departure angle, at the scenario's carrier and
+    half-wavelength spacing; entries are unit modulus."""
     if m_antennas < 1:
         raise DegenerateGeometry("bs_steering: need at least one antenna")
     m = np.arange(1, m_antennas + 1)
-    phase = geom.wavenumber * (m - (m_antennas + 1) / 2.0) * geom.spacing * np.cos(theta_tx)
+    k, d = scenario.wavenumber, scenario.spacing
+    phase = k * (m - (m_antennas + 1) / 2.0) * d * np.cos(theta_tx)
     return np.exp(1j * phase)
 
 
 def bs_steering_for(scenario) -> np.ndarray:
     """BS-side steering g_bs (length M) of the BS-RIS link of a scenario."""
     theta_tx = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
-    return bs_steering(scenario.bs_antennas, theta_tx, ArrayGeometry.from_scenario(scenario))
+    return bs_steering(scenario.bs_antennas, theta_tx, scenario)
 
 
 def mrt_beamformer(g_bs: np.ndarray, power_w: float) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_criterion_05_taylor_bound(scenario):
 
 def test_criterion_06_fairness_ratio(scenario):
     """Weight ratio 10 gives a ~20 dB gain split; ratio 1 stays balanced."""
-    sweep = sweep_weight_ratio(scenario.replace(alpha=0.5), [1.0, 10.0], SEEDS)
+    sweep = sweep_weight_ratio(scenario.replace(alpha=0.5), SEEDS)
     split10 = mean_over_seeds(sweep, "gain_t1_db", ratio=10.0) - mean_over_seeds(
         sweep, "gain_t2_db", ratio=10.0
     )
@@ -291,7 +291,7 @@ def test_criterion_09_sdr_dominance(scenario):
         cand_max = max(cand_max, beam_gains(v, problem.q_ue[None])[0])
     cand_ok = cand_max <= relaxed + tol_rel
 
-    phase, metrics = gaussian_randomization(sol.v_matrix, problem, 100, child_rng(cell.seed, 1))
+    phase, metrics = gaussian_randomization(sol.v_matrix, problem, child_rng(cell.seed, 1))
     gains = np.array([g for g, _ in metrics.gains])
     extract_ok = bool(np.all(gains >= 0.95 * desired))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bs_steering
-from ris_isac import ArrayGeometry, DegenerateGeometry, build_channels, child_rng
+from ris_isac import DegenerateGeometry, build_channels, child_rng, load_default_scenario
 from ris_isac.channel import (
     SPEED_OF_LIGHT,
     angle_from_positions,
@@ -16,10 +16,12 @@ from ris_isac.channel import (
 )
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
+SHIPPED = load_default_scenario()
 
 
-def geom(cols=4, rows=3, f=10e9):
-    return ArrayGeometry(carrier_hz=f, ris_cols=cols, ris_rows=rows)
+def surface(cols=4, rows=3, f=10e9):
+    """The shipped scenario with the given RIS array and carrier."""
+    return SHIPPED.replace(carrier_hz=f, ris_cols=cols, ris_rows=rows)
 
 
 class TestChildRng:
@@ -36,8 +38,9 @@ class TestChildRng:
 
 class TestGeometry:
     def test_half_wavelength_default(self):
-        g = geom(f=10e9)
+        g = surface(f=10e9)
         assert g.spacing == pytest.approx(SPEED_OF_LIGHT / 2e10)
+        assert g.wavenumber == pytest.approx(np.pi / g.spacing)
 
     def test_angle_from_positions(self):
         assert angle_from_positions((0, 0), (1, 1)) == pytest.approx(np.pi / 4)
@@ -53,14 +56,14 @@ class TestGeometry:
 class TestSteering:
     @given(theta=angles, m=st.integers(min_value=1, max_value=16))
     def test_bs_steering_unit_modulus(self, theta, m):
-        v = bs_steering(m, theta, geom())
+        v = bs_steering(m, theta, surface())
         assert v.shape == (m,)
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
 
     @given(theta=angles, cols=st.integers(1, 8), rows=st.integers(1, 8))
     @settings(max_examples=50)
     def test_ris_steering_unit_modulus(self, theta, cols, rows):
-        g = geom(cols=cols, rows=rows)
+        g = surface(cols=cols, rows=rows)
         for f in (ris_steering_tx, ris_steering_rx):
             v = f(g, theta)
             assert v.shape == (cols * rows,)
@@ -69,7 +72,7 @@ class TestSteering:
     def test_broadside_phases(self):
         # at theta = pi/2 the horizontal cosine term vanishes for both forms,
         # so tx and rx responses coincide and depend only on the row index
-        g = geom(cols=3, rows=2)
+        g = surface(cols=3, rows=2)
         tx = ris_steering_tx(g, np.pi / 2)
         rx = ris_steering_rx(g, np.pi / 2)
         np.testing.assert_allclose(tx, rx, atol=1e-12)
@@ -77,14 +80,14 @@ class TestSteering:
 
     def test_row_major_indexing(self):
         # element n=cols has the same horizontal offset as n=0, one row up
-        g = geom(cols=4, rows=3)
+        g = surface(cols=4, rows=3)
         theta = 0.3
         v = ris_steering_rx(g, theta)
         row_step = v[4] / v[0]
         np.testing.assert_allclose(v[5] / v[1], row_step, atol=1e-12)
 
     def test_single_antenna(self):
-        np.testing.assert_allclose(np.abs(bs_steering(1, 0.7, geom())), 1.0)
+        np.testing.assert_allclose(np.abs(bs_steering(1, 0.7, surface())), 1.0)
 
 
 class TestPathLoss:
@@ -128,10 +131,9 @@ class TestBuildChannels:
         assert channels.g_ris.shape == (441,)
         assert channels.h_ue.shape == (441,)
         assert channels.a_targets.shape == (2, 441)
-        geom = ArrayGeometry.from_scenario(scenario)
         for k in range(2):  # the one call over all angles gives each angle's own vector
             np.testing.assert_array_equal(
-                channels.a_targets[k], ris_steering_rx(geom, target_angle(scenario, k))
+                channels.a_targets[k], ris_steering_rx(scenario, target_angle(scenario, k))
             )
         assert angle_from_positions(scenario.bs_pos, scenario.ris_pos) == pytest.approx(np.pi / 4)
         assert (target_angle(scenario, 0), target_angle(scenario, 1)) == tuple(

@@ -112,6 +112,26 @@ class TestValidate:
         assert main(["solve", "--scenario", str(p)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda p: p.mkdir(),
+            lambda p: p.write_text("[1, 2]"),
+            lambda p: p.write_bytes(b'{"alpha": 0.5, "\xff": 1}'),
+        ],
+        ids=["directory", "json_list", "not_utf8"],
+    )
+    def test_unusable_scenario_file_named(self, tmp_path, capsys, command, make):
+        p = tmp_path / "bad.json"
+        make(p)
+        out = tmp_path / "run"
+        args = ["--out", str(out)] if command == "solve" else []
+        assert main([command, "--scenario", str(p), *args]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and str(p) in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_whole_number_counts_accepted(self, tmp_path, scenario, capsys):
         d = scenario.to_dict()
         assert main(["solve"]) == EXIT_OK
@@ -314,6 +334,26 @@ class TestExperiment:
             "--out", str(tmp_path / "x"), "--seeds", "0",
         ])
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda out: ["experiment", "weight-sweep", "--out", str(out)],
+        lambda out: ["solve", "--out", str(out / "x")],
+    ],
+    ids=["existing_file", "below_a_file"],
+)
+def test_unusable_out_is_config_error(tmp_path, small_file, capsys, argv):
+    """An --out that cannot be made a directory exits 2 and writes nothing."""
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    assert main([*argv(out), "--scenario", small_file]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out: ") and captured.out == ""
+    assert out.read_text() == "keep" and sorted(tmp_path.iterdir()) == sorted(
+        [out, tmp_path / "small.json"]
+    )
 
 
 def test_failed_experiment_leaves_no_output(tmp_path):
