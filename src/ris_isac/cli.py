@@ -6,10 +6,11 @@ only); each takes only the flags it reads, and argparse rejects any other
 with exit 2.  Flags override scenario-file fields, which override defaults.
 Exit codes: 0 success, 1 internal error (any other exception, on one line),
 2 config error (also a scenario file that cannot be read or is not a JSON
-object, and an --out that cannot be made), 3 numerical error, 4 capability
-error.  An IllPosedWarning is one `warning:` line on stderr.  A successful
-run writes a JSON manifest that pins how to reproduce it, with its wall
-time, before its results; a failed run writes nothing.
+object, and an --out that cannot be made or where an output name is a
+directory), 3 numerical error, 4 capability error.  An IllPosedWarning is
+one `warning:` line on stderr.  A successful run writes a JSON manifest
+that pins how to reproduce it, with its wall time, before its results; a
+failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .config import LambdaPolicy, ScenarioConfig, default_scenario_path
+from .config import MAX_ARRAY_LENGTH, LambdaPolicy, ScenarioConfig, default_scenario_path
 from .errors import (
     CapExceeded,
     ConfigError,
@@ -54,15 +55,14 @@ FLAGS = {
     "--alphas": dict(default="0,0.25,0.5,0.75,1", help="comma-separated alpha list"),
     "--method": dict(choices=("proposed", "sdr", "comm-only"), default="proposed",
                      help="design method"),
-    "--sdr-cap": dict(type=int, help="largest element count SDR runs at; 0 turns SDR off"),
 }
 # Each study and the flags it reads besides --scenario, --seed, --lambda-policy, --out.
 STUDIES = {
-    "heatmap": ("--seeds", "--alpha", "--method", "--sdr-cap"),
+    "heatmap": ("--seeds", "--alpha", "--method"),
     "alpha-sweep": ("--seeds", "--alphas"),
     "weight-sweep": ("--seeds", "--alpha"),
-    "aoa-scan": ("--seeds", "--alpha", "--sdr-cap"),
-    "complexity": ("--sdr-cap",),
+    "aoa-scan": ("--seeds", "--alpha"),
+    "complexity": (),
 }
 
 
@@ -109,15 +109,21 @@ def _load_scenario(args) -> tuple[ScenarioConfig, str]:
     return scenario, path
 
 
-def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_s) -> None:
+def _write_manifest(args, path: str, scenario: ScenarioConfig, seeds, wall_time_s,
+                    results=()) -> None:
     """Create the output directory and write the manifest of a run that has
-    finished, before any of its results: everything needed to re-execute the
-    run bit-identically."""
+    finished, before any of its results (the file names in `results`):
+    everything needed to re-execute the run bit-identically.  An --out that
+    cannot be made, or where the manifest or a result would replace a
+    directory, is a ConfigError raised before anything is written."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from None
+    for target in (out / name for name in ("manifest.json", *results)):
+        if target.is_dir():
+            raise ConfigError(f"--out: {target} is a directory")
     manifest = dict(
         command=args.argv,
         scenario_path=path,
@@ -157,16 +163,14 @@ def cmd_experiment(args) -> int:
     n_seeds = getattr(args, "seeds", 1)  # the probe has no --seeds: it draws one seed
     if n_seeds < 1:
         raise ConfigError("--seeds: must be >= 1")
+    if n_seeds > MAX_ARRAY_LENGTH:  # the seed list is built before anything runs
+        raise ConfigError(f"--seeds: exceeds the longest array, {MAX_ARRAY_LENGTH} elements")
     seeds = [scenario.seed + i for i in range(n_seeds)]  # a contiguous block of child seeds
-    sdr_cap = getattr(args, "sdr_cap", None)
-    sdr_cap = exp.DEFAULT_SDR_CAP if sdr_cap is None else sdr_cap
-    if sdr_cap < 0:
-        raise ConfigError(f"--sdr-cap: must be >= 0, got {sdr_cap}")
 
     t0 = time.perf_counter()
 
     if args.name == "heatmap":
-        result = exp.run_heatmap(scenario, args.method, seeds=seeds, sdr_cap=sdr_cap)
+        result = exp.run_heatmap(scenario, args.method, seeds=seeds)
     elif args.name == "alpha-sweep":
         try:  # each entry must pass the config's own alpha rule
             alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
@@ -177,13 +181,13 @@ def cmd_experiment(args) -> int:
     elif args.name == "weight-sweep":
         result = exp.sweep_weight_ratio(scenario, seeds)
     elif args.name == "aoa-scan":
-        result = exp.beampattern_vs_aoa(scenario, seeds=seeds, sdr_cap=sdr_cap)
+        result = exp.beampattern_vs_aoa(scenario, seeds=seeds)
     else:  # complexity; argparse restricts the choices
-        result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario, sdr_cap=sdr_cap)
+        result = exp.run_complexity_probe(DEFAULT_N_LIST, scenario)
 
-    out = Path(args.out)
-    _write_manifest(args, path, scenario, seeds, time.perf_counter() - t0)
-    result.write_csv(out / f"{args.name.replace('-', '_')}.csv")
+    out, csv_name = Path(args.out), f"{args.name.replace('-', '_')}.csv"
+    _write_manifest(args, path, scenario, seeds, time.perf_counter() - t0, [csv_name])
+    result.write_csv(out / csv_name)
     print(f"wrote {args.name} results to {out}")
     return EXIT_OK
 

@@ -22,7 +22,8 @@ from .perturb import build_system, eta_targets, solve_perturbation
 from .pipeline import design, realize
 from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
-DEFAULT_SDR_CAP = 64
+# the largest element count N at which SDR runs
+SDR_CAP = 64
 WEIGHT_RATIOS = (1.0, 2.0, 5.0, 10.0)
 _SDR_STREAM = 1
 
@@ -96,12 +97,7 @@ def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
     return [sum(per_seed, np.zeros(len(steering))) / len(per_seed) for per_seed in results]
 
 
-def run_heatmap(
-    scenario: ScenarioConfig,
-    method: str,
-    seeds,
-    sdr_cap: int = DEFAULT_SDR_CAP,
-) -> SweepResult:
+def run_heatmap(scenario: ScenarioConfig, method: str, seeds) -> SweepResult:
     """Seed-mean far-field beampattern gain over a fixed spatial grid, one
     row per grid cell, y outer and x inner.
 
@@ -113,8 +109,8 @@ def run_heatmap(
     """
     if method not in ("proposed", "sdr", "comm-only"):
         raise ConfigError(f"unknown method {method!r}")
-    if method == "sdr" and scenario.n_elements > sdr_cap:
-        raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {sdr_cap}")
+    if method == "sdr" and scenario.n_elements > SDR_CAP:
+        raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {SDR_CAP}")
     xx, yy = np.meshgrid(np.arange(1.0, 120.0, 2.0), np.arange(-39.0, 40.0, 2.0))
     angles = np.arctan2(yy - scenario.ris_pos[1], xx - scenario.ris_pos[0]).ravel()
     steering = ris_steering_rx(scenario, angles)
@@ -127,11 +123,13 @@ def run_heatmap(
     return SweepResult(fieldnames=("x_m", "y_m", "gain_db"), rows=tuple(rows))
 
 
-def _design_rows(scenario, seeds, labelled_cells) -> list[dict]:
+def _design_rows(scenario, seeds, labelled_cells) -> SweepResult:
     """Design every (label, cell) pair on every seed; one row per pair and
-    seed, pair-major, as {**label, seed, gamma_db, gain_t<k>_db}."""
+    seed, pair-major, with the columns of the labels, then seed, gamma_db
+    and gain_t1_db ... gain_tK_db."""
     labels = [label for label, _ in labelled_cells]
     cells = [cell for _, cell in labelled_cells]
+    gain_cols = [f"gain_t{k}_db" for k in range(1, len(scenario.targets) + 1)]
 
     def rows_of(real, cells):
         metrics = design(real, cells).metrics
@@ -141,13 +139,16 @@ def _design_rows(scenario, seeds, labelled_cells) -> list[dict]:
                 **label,
                 "seed": real.scenario.seed,
                 "gamma_db": gamma_db,
-                **{f"gain_t{k}_db": g_db for k, g_db in enumerate(gains, 1)},
+                **dict(zip(gain_cols, gains)),
             }
             for label, gamma_db, gains in zip(labels, snr_db, gains_db)
         ]
 
     results = _run_cells(scenario, seeds, cells, rows_of)
-    return [row for per_seed in results for row in per_seed]
+    return SweepResult(
+        fieldnames=(*labels[0], "seed", "gamma_db", *gain_cols),
+        rows=tuple(row for per_seed in results for row in per_seed),
+    )
 
 
 def sweep_alpha(
@@ -157,37 +158,26 @@ def sweep_alpha(
     seeds,
 ) -> SweepResult:
     """Proposed-method trade-off sweep over alpha for several ridge policies."""
-    gain_cols = [f"gain_t{i + 1}_db" for i in range(len(scenario.targets))]
     policies = [LambdaPolicy.parse(p) for p in lambda_policies]
-    rows = _design_rows(scenario, seeds, [
+    return _design_rows(scenario, seeds, [
         ({"alpha": float(alpha), "lambda_policy": str(policy)},
          (float(alpha), scenario.weights, policy))
         for alpha in alphas
         for policy in policies
     ])
-    return SweepResult(
-        fieldnames=("alpha", "lambda_policy", "seed", "gamma_db", *gain_cols), rows=tuple(rows)
-    )
 
 
 def sweep_weight_ratio(scenario: ScenarioConfig, seeds) -> SweepResult:
     """Fairness sweep of a two-target scenario over the WEIGHT_RATIOS w_1/w_2."""
     if len(scenario.targets) != 2:
         raise ConfigError("sweep_weight_ratio: scenario must have exactly two targets")
-    rows = _design_rows(scenario, seeds, [
+    return _design_rows(scenario, seeds, [
         ({"ratio": r}, (scenario.alpha, (r / (1 + r), 1 / (1 + r)), scenario.lambda_policy))
         for r in WEIGHT_RATIOS
     ])
-    return SweepResult(
-        fieldnames=("ratio", "seed", "gamma_db", "gain_t1_db", "gain_t2_db"), rows=tuple(rows)
-    )
 
 
-def beampattern_vs_aoa(
-    scenario: ScenarioConfig,
-    seeds,
-    sdr_cap: int = DEFAULT_SDR_CAP,
-) -> SweepResult:
+def beampattern_vs_aoa(scenario: ScenarioConfig, seeds) -> SweepResult:
     """Beampattern gain versus angle for an extended angular target region.
 
     The band 85-95 degrees is expanded into 11 equal-weight virtual targets
@@ -209,7 +199,7 @@ def beampattern_vs_aoa(
     steering = ris_steering_rx(scenario, np.deg2rad(scan))
 
     methods = ["proposed"]
-    if scenario.n_elements <= sdr_cap:
+    if scenario.n_elements <= SDR_CAP:
         methods.append("sdr")
     means = _seed_mean_patterns(band_scenario, seeds, methods, steering)
 
@@ -221,18 +211,13 @@ def beampattern_vs_aoa(
     return SweepResult(fieldnames=("angle_deg", "method", "gain_db"), rows=tuple(rows))
 
 
-def run_complexity_probe(
-    n_list,
-    scenario: ScenarioConfig,
-    repeats: int = 5,
-    sdr_cap: int = DEFAULT_SDR_CAP,
-) -> SweepResult:
+def run_complexity_probe(n_list, scenario: ScenarioConfig, repeats: int = 5) -> SweepResult:
     """Median wall time of the two solvers versus element count.
 
     Each N is a 1 x N copy of the scenario at alpha 0.5 with two equal-weight
     targets at 60 and 120 degrees.  The proposed timing covers system build
     plus SVD solve for a fixed channel realization; the SDR timing covers the
-    splitting solve.  SDR entries are only produced for N at or below the cap.
+    splitting solve.  SDR entries are only produced for N at or below SDR_CAP.
     """
     if repeats < 1:
         raise ConfigError("run_complexity_probe: repeats must be >= 1")
@@ -262,7 +247,7 @@ def run_complexity_probe(
 
         seconds = median_seconds(proposed_once)
         rows.append({"n_elements": int(n), "method": "proposed", "median_seconds": seconds})
-        if n <= sdr_cap:
+        if n <= SDR_CAP:
             problem = SdpProblem.from_channels(channels, cell.alpha, cell.weights)
             seconds = median_seconds(lambda: solve_sdp(problem))
             rows.append({"n_elements": int(n), "method": "sdr", "median_seconds": seconds})

@@ -1,8 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,31 +269,19 @@ class TestExperiment:
         assert "alpha" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_sdr_cap_rejected_before_output(self, tmp_path, capsys):
-        out = tmp_path / "h"
-        code = main([
-            "experiment", "heatmap", "--method", "sdr", "--sdr-cap", "-3", "--out", str(out),
-        ])
-        assert code == EXIT_CONFIG
-        assert "--sdr-cap" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_complexity_manifest_records_probe_seed(self, small_file, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "DEFAULT_N_LIST", (16,))
         out = tmp_path / "c"
-        code = main([
-            "experiment", "complexity", "--scenario", small_file,
-            "--sdr-cap", "0", "--out", str(out),
-        ])
+        code = main(["experiment", "complexity", "--scenario", small_file, "--out", str(out)])
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed_list"] == [ScenarioConfig.from_file(small_file).seed]
-        # a cap of 0 is valid and leaves only the proposed row
         rows = (out / "complexity.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[:2] for r in rows] == [["16", "proposed"]]
+        assert [r.split(",")[:2] for r in rows] == [["16", "proposed"], ["16", "sdr"]]
 
     @pytest.mark.parametrize("study, flag, value", [
         ("heatmap", "--alphas", "0.5"),
+        ("heatmap", "--sdr-cap", "5"),
         ("alpha-sweep", "--alpha", "0.5"),
         ("alpha-sweep", "--method", "sdr"),
         ("alpha-sweep", "--sdr-cap", "5"),
@@ -299,10 +290,12 @@ class TestExperiment:
         ("weight-sweep", "--sdr-cap", "5"),
         ("aoa-scan", "--alphas", "0.5"),
         ("aoa-scan", "--method", "sdr"),
+        ("aoa-scan", "--sdr-cap", "5"),
         ("complexity", "--seeds", "4"),
         ("complexity", "--alpha", "0.5"),
         ("complexity", "--alphas", "0.5"),
         ("complexity", "--method", "sdr"),
+        ("complexity", "--sdr-cap", "5"),
     ])
     def test_unread_flag_rejected_before_output(self, tmp_path, capsys, study, flag, value):
         out = tmp_path / "x"
@@ -314,19 +307,19 @@ class TestExperiment:
 
     @pytest.mark.parametrize("seeds", ["1", "2"])
     def test_ill_posed_design_warns_on_one_line(self, tmp_path, scenario, capsys, seeds):
-        """11 band targets on a 3x3 surface exceed N = 9; the scan still runs."""
+        """11 band targets on a 3x3 surface exceed N = 9; the scan still runs,
+        SDR included."""
         p = tmp_path / "three.json"
         p.write_text(json.dumps(scenario.replace(ris_rows=3, ris_cols=3).to_dict()))
         out = tmp_path / "scan"
         code = main([
-            "experiment", "aoa-scan", "--scenario", str(p), "--seeds", seeds,
-            "--sdr-cap", "0", "--out", str(out),
+            "experiment", "aoa-scan", "--scenario", str(p), "--seeds", seeds, "--out", str(out),
         ])
         assert code == EXIT_OK
         assert capsys.readouterr().err == (
             "warning: 11 targets exceed 9 RIS elements; system is overdetermined\n"
         )
-        assert len((out / "aoa_scan.csv").read_text().splitlines()) == 1 + 721
+        assert len((out / "aoa_scan.csv").read_text().splitlines()) == 1 + 2 * 721
 
     def test_seeds_must_be_positive(self, small_file, tmp_path):
         code = main([
@@ -334,6 +327,17 @@ class TestExperiment:
             "--out", str(tmp_path / "x"), "--seeds", "0",
         ])
         assert code == EXIT_CONFIG
+
+    def test_seed_count_above_longest_array_rejected(self, small_file, tmp_path, capsys):
+        """A count no list can hold exits 2 before the seed list is built."""
+        out = tmp_path / "x"
+        code = main([
+            "experiment", "alpha-sweep", "--scenario", small_file, "--alphas", "0.5",
+            "--out", str(out), "--seeds", str(cli.MAX_ARRAY_LENGTH + 1),
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --seeds: ")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -354,6 +358,38 @@ def test_unusable_out_is_config_error(tmp_path, small_file, capsys, argv):
     assert out.read_text() == "keep" and sorted(tmp_path.iterdir()) == sorted(
         [out, tmp_path / "small.json"]
     )
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["experiment", "weight-sweep"], "weight_sweep.csv"),
+        (["solve"], "manifest.json"),
+    ],
+    ids=["result_is_directory", "manifest_is_directory"],
+)
+def test_output_name_taken_by_directory_is_config_error(tmp_path, small_file, capsys, argv,
+                                                        taken):
+    """An --out where an output file would replace a directory exits 2 and
+    writes nothing new."""
+    out = tmp_path / "run"
+    (out / taken).mkdir(parents=True)
+    assert main([*argv, "--scenario", small_file, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out: ") and captured.out == ""
+    assert list(out.iterdir()) == [out / taken] and not any((out / taken).iterdir())
+
+
+def test_readme_flag_table_matches_studies():
+    """The README's study/flag table lists the studies of cli.STUDIES in
+    order, each with the same flags in the same order."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| study | extra flags it reads |") + 2  # past the header rule
+    documented = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        study, flags = line.split("|")[1:3]
+        documented.append((study.strip().strip("`"), tuple(re.findall(r"`(--[\w-]+)`", flags))))
+    assert documented == list(cli.STUDIES.items())
 
 
 def test_failed_experiment_leaves_no_output(tmp_path):

@@ -27,7 +27,7 @@ class TestHeatmap:
 
     def test_sdr_cap(self, scenario):
         with pytest.raises(CapExceeded):
-            run_heatmap(scenario, "sdr", seeds=[1], sdr_cap=64)
+            run_heatmap(scenario, "sdr", seeds=[1])
 
     def test_unknown_method(self, scenario):
         with pytest.raises(ConfigError):
@@ -140,7 +140,7 @@ class TestAoaScan:
             assert any(abs(row["angle_deg"] - needed) < 1e-9 for row in r.rows)
 
     def test_large_surface_skips_sdr(self, scenario):
-        r = beampattern_vs_aoa(scenario, seeds=[1], sdr_cap=16)
+        r = beampattern_vs_aoa(scenario, seeds=[1])
         assert {row["method"] for row in r.rows} == {"proposed"}
 
 
@@ -150,10 +150,10 @@ class TestComplexityProbe:
             run_complexity_probe([16], scenario, repeats=0)
 
     def test_rows_and_slope(self, scenario):
-        r = run_complexity_probe([16, 32], repeats=2, scenario=scenario, sdr_cap=16)
+        r = run_complexity_probe([16, 128], repeats=2, scenario=scenario)
         methods = {(row["n_elements"], row["method"]) for row in r.rows}
-        assert (16, "proposed") in methods and (32, "proposed") in methods
-        assert (16, "sdr") in methods and (32, "sdr") not in methods
+        assert (16, "proposed") in methods and (128, "proposed") in methods
+        assert (16, "sdr") in methods and (128, "sdr") not in methods
         n, t = np.array([(row["n_elements"], row["median_seconds"])
                          for row in r.rows if row["method"] == "proposed"]).T
         assert np.isfinite(np.polyfit(np.log(n), np.log(t), 1)[0])
