@@ -61,13 +61,17 @@ def beam_factors(steering: np.ndarray, channels: ChannelSet) -> np.ndarray:
     return np.sqrt(channels.gain_prefactor) * channels.g_ris * np.conj(steering)
 
 
+def row_products(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x (..., N) @ m (N, R) as a stack of row products: each row rounds as it would
+    alone, where a (C, N) @ (N, R) product rounds differently for different C."""
+    return (x[..., None, :] @ m)[..., 0, :]
+
+
 def beam_gains(v: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """|q_r^H v|^2 for each factor row q_r of (R, N), for phases (N,) or a batch (C, N)."""
     if np.ndim(factors) != 2 or np.shape(v)[-1] != np.shape(factors)[-1]:
         raise ShapeError("beam_gains: need factors (R, N) and phases (..., N)")
-    # a stack of row-vector products, each rounded as it would be alone: a
-    # (C, N) @ (N, R) product rounds differently for different C
-    return np.abs((v[..., None, :] @ np.conj(factors).T)[..., 0, :]) ** 2
+    return np.abs(row_products(v, np.conj(factors).T)) ** 2
 
 
 def metric_factors(channels: ChannelSet) -> np.ndarray:

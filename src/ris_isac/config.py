@@ -29,6 +29,14 @@ LINK_BUDGET_LIMIT = 1e300
 MAX_ARRAY_LENGTH = sys.maxsize  # np.iinfo(np.intp).max, the longest array numpy can index
 
 
+def check_weight_sum(weights) -> None:
+    """The one weight-sum rule: the correctly rounded (fsum) sum of the target
+    weights is 1 within WEIGHT_SUM_TOL; raises ConfigError naming targets."""
+    total = math.fsum(weights)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ConfigError(f"targets: weights must sum to 1 (got {total!r})")
+
+
 def _finite_real(value) -> bool:
     """A real number, not a bool, that converts to a finite float."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -203,9 +211,7 @@ class ScenarioConfig:
             raise ConfigError(f"alpha: must be in [0, 1], got {self.alpha}")
         if self.carrier_hz <= 0:
             raise ConfigError("carrier_hz: must be positive")
-        total = math.fsum(t.weight for t in self.targets)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ConfigError(f"targets: weights must sum to 1 (got {total!r})")
+        check_weight_sum(t.weight for t in self.targets)
         if tuple(self.bs_pos) == tuple(self.ris_pos):
             raise ConfigError("ris_pos: coincides with bs_pos")
         if tuple(self.ris_pos) == tuple(self.ue_pos):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import to_db
+from .beamforming import row_products, to_db
+from .config import check_weight_sum
 from .errors import ConfigError, IllPosedWarning, NumericalError, ShapeError
 
 PINV_RCOND = 1e-12  # relative cutoff for the lambda=0 pseudo-inverse
@@ -47,8 +48,10 @@ def eta_targets(alpha, weights, n_elements: int) -> np.ndarray:
     """Designed beam-sum magnitudes alpha * weight_k * N: (K,) for one design,
     or (C, K) for alphas (C, 1) and weights (C, K)."""
     w = np.asarray(weights, dtype=float)
-    if np.any(np.abs(np.sum(w, axis=-1) - 1.0) > 1e-12) or np.any(w < 0):
-        raise ConfigError("eta_targets: weights must be nonnegative and sum to 1")
+    if np.any(w < 0):
+        raise ConfigError("targets: weights must be nonnegative")
+    for row in w.reshape(-1, w.shape[-1]):
+        check_weight_sum(row)
     return alpha * w * n_elements
 
 
@@ -111,11 +114,11 @@ class PerturbationSystem:
 
     def eta_exact_all(self, rotation: np.ndarray) -> np.ndarray:
         """Exact beam sums (..., K) of rotations exp(j*delta_phi) (..., N)."""
-        return (self.alignment * np.conj(rotation)[..., None, :]).sum(axis=-1)
+        return row_products(np.conj(rotation), self.alignment.T)
 
     def eta_linearized_all(self, delta_phi: np.ndarray) -> np.ndarray:
         """First-order beam sums (..., K) of perturbations (..., N)."""
-        linear_part = np.asarray(delta_phi, dtype=float) @ self.alignment.T
+        linear_part = row_products(np.asarray(delta_phi, dtype=float), self.alignment.T)
         return self.alignment.sum(axis=1) - 1j * linear_part
 
 
@@ -186,10 +189,7 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
             cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
             filt[ridge == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
 
-    # a stack of C row-vector products, each rounded as it would be alone: a
-    # (C, 2K) @ (2K, N) product rounds differently for different C
-    coeffs = filt * (b[:, None, :] @ system.svd_u)[:, 0]
-    delta_phi = (coeffs[:, None, :] @ system.svd_vt)[:, 0]
+    delta_phi = row_products(filt * row_products(b, system.svd_u), system.svd_vt)
 
     rotation = np.exp(1j * delta_phi)
     eta = system.eta_exact_all(rotation)

@@ -37,8 +37,7 @@ RANDOMIZATION_TRIALS = 100
 class SdpProblem:
     """Rank-one trace-form data: SNR = |q_ue^H v|^2, gain_k = |q_k^H v|^2, floors."""
 
-    q_ue: np.ndarray  # (N,)
-    q_targets: np.ndarray  # (K, N)
+    factors: np.ndarray  # (1 + K, N): metric_factors rows q_ue, then q_k
     desired_gains: np.ndarray
 
     @classmethod
@@ -46,11 +45,11 @@ class SdpProblem:
         """The metric factors of one realization, with the gain ceilings as floors."""
         factors = metric_factors(channels)
         floors = gain_upper_bound(alpha, weights, channels.gain_prefactor, factors.shape[1])
-        return cls(q_ue=factors[0], q_targets=factors[1:], desired_gains=floors)
+        return cls(factors=factors, desired_gains=floors)
 
     @property
     def n_elements(self) -> int:
-        return self.q_ue.shape[0]
+        return self.factors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -69,15 +68,19 @@ def _quad(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.real(np.sum((np.conj(q) @ m) * q, axis=-1))
 
 
-def psd_project(h: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix: symmetrize, clamp eigenvalues at zero."""
-    h = 0.5 * (h + h.conj().T)
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hermitian part of h; a failed
+    decomposition (for one, of a non-finite h) raises NumericalError."""
     try:
-        w, q = np.linalg.eigh(h)
+        return np.linalg.eigh(0.5 * (h + h.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    w = np.maximum(w, 0.0)
-    return (q * w) @ q.conj().T
+
+
+def psd_project(h: np.ndarray) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix: symmetrize, clamp eigenvalues at zero."""
+    w, q = _hermitian_eigh(h)
+    return (q * np.maximum(w, 0.0)) @ q.conj().T
 
 
 def solve_sdp(
@@ -93,17 +96,17 @@ def solve_sdp(
     updates the scaled duals.  The penalty parameter starts at 1 and is
     rebalanced by factors of 2 when the residuals drift apart.
     """
-    n = problem.n_elements
-    k = len(problem.q_targets)
+    q_ue, q_targets = problem.factors[0], problem.factors[1:]
+    n, k = problem.n_elements, len(q_targets)
 
     # normalize objective and constraints so the iteration is scale-free:
     # each trace form becomes u u^H with a unit-norm u
-    norms = np.linalg.norm(problem.q_targets, axis=1)
+    norms = np.linalg.norm(q_targets, axis=1)
     if np.any(norms == 0):
         raise NumericalError("zero constraint matrix in SDP")
-    u = problem.q_targets / norms[:, None]
+    u = q_targets / norms[:, None]
     floors = problem.desired_gains / norms**2
-    u_ue = problem.q_ue / (np.linalg.norm(problem.q_ue) or 1.0)
+    u_ue = q_ue / (np.linalg.norm(q_ue) or 1.0)
     c_mat = np.outer(u_ue, np.conj(u_ue))
 
     # Gram matrix of the affine-constraint representers (diag entries, gains+slacks)
@@ -177,8 +180,8 @@ def solve_sdp(
 
     return SdrSolution(
         v_matrix=z,
-        relaxed_objective=float(_quad(problem.q_ue, z)),
-        constraint_residuals=problem.desired_gains - _quad(problem.q_targets, z),
+        relaxed_objective=float(_quad(q_ue, z)),
+        constraint_residuals=problem.desired_gains - _quad(q_targets, z),
         diag_residual=float(np.max(np.abs(np.real(np.diagonal(z)) - 1.0))),
         iterations=it,
     )
@@ -199,14 +202,14 @@ def gaussian_randomization(
     the best worst-case floor ratio is returned.  The vector (N,) returned
     is the one its Metrics scored.
     """
-    w, q = np.linalg.eigh(0.5 * (v_matrix + v_matrix.conj().T))
+    w, q = _hermitian_eigh(v_matrix)
     chol_like = q * np.sqrt(np.maximum(w, 0.0))
 
     # trial t draws its real then its imaginary parts, as one draw per trial would
     draws = rng.standard_normal((RANDOMIZATION_TRIALS, 2, problem.n_elements))
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
     candidates = np.exp(1j * np.angle(noise @ chol_like.T))
-    scores = beam_gains(candidates, np.vstack([problem.q_ue, problem.q_targets]))
+    scores = beam_gains(candidates, problem.factors)
     snr, gains = scores[:, 0], scores[:, 1:]
     floors = np.asarray(problem.desired_gains, dtype=float)
     feasible = np.all(gains >= (1.0 - slack) * floors, axis=1)

@@ -288,7 +288,7 @@ def test_criterion_09_sdr_dominance(scenario):
     for _ in range(100):
         noise = (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / np.sqrt(2.0)
         v = np.exp(1j * np.angle(factor @ noise))
-        cand_max = max(cand_max, beam_gains(v, problem.q_ue[None])[0])
+        cand_max = max(cand_max, beam_gains(v, problem.factors[:1])[0])
     cand_ok = cand_max <= relaxed + tol_rel
 
     phase, metrics = gaussian_randomization(sol.v_matrix, problem, child_rng(cell.seed, 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import beampattern_gain_general, comm_snr_general, mrt_beamformer
-from ris_isac import child_rng, comm_optimal_phase
+from ris_isac import build_system, child_rng, comm_optimal_phase
 from ris_isac.beamforming import (
     Metrics,
     beam_factors,
@@ -110,14 +110,21 @@ class TestFactoredForms:
             beam_gains(np.ones(441), factors[0])
 
     def test_row_alone_equals_row_in_batch(self, channels):
-        """beam_gains of one phase vector is bit-equal to its row in a batch of 33."""
+        """beam_gains of one phase vector, and the exact and linearized beam sums of
+        one perturbation, are bit-equal to their row in a batch of 33."""
         rng = child_rng(9)
-        batch = np.exp(1j * rng.uniform(-np.pi, np.pi, (33, 441)))
+        phases = rng.uniform(-np.pi, np.pi, (33, 441))
         factors = metric_factors(channels)
-        together = beam_gains(batch, factors)
-        for i in (0, 16, 32):
-            np.testing.assert_array_equal(beam_gains(batch[i], factors), together[i])
-            np.testing.assert_array_equal(beam_gains(batch[i : i + 1], factors)[0], together[i])
+        system = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
+        for beam_sums in (
+            lambda x: beam_gains(np.exp(1j * x), factors),
+            lambda x: system.eta_exact_all(np.exp(1j * x)),
+            system.eta_linearized_all,
+        ):
+            together = beam_sums(phases)
+            for i in (0, 16, 32):
+                np.testing.assert_array_equal(beam_sums(phases[i]), together[i])
+                np.testing.assert_array_equal(beam_sums(phases[i : i + 1])[0], together[i])
 
 
 class TestOracleValues:

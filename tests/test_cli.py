@@ -42,6 +42,20 @@ class TestValidate:
         assert main(["validate", "--scenario", str(p)]) == EXIT_CONFIG
         assert "sum to 1" in capsys.readouterr().err
 
+    def test_weight_sum_rule_shared_with_solve(self, tmp_path, scenario, capsys):
+        """Weights whose exact sum is within the tolerance of 1, but whose naive
+        sum is not, pass validate and solve alike, with finite metrics."""
+        d = scenario.to_dict()
+        d["targets"] = [{"weight": w, "angle_deg": a} for w, a in (
+            (0.6748251567436068, 30.0), (0.0836620339981443, 40.0), (0.2415128092592489, 50.0))]
+        p = tmp_path / "three.json"
+        p.write_text(json.dumps(d))
+        assert main(["validate", "--scenario", str(p)]) == EXIT_OK
+        assert main(["solve", "--scenario", str(p)]) == EXIT_OK
+        out = capsys.readouterr().out
+        values = [float(v) for v in re.findall(r"_db=(\S+)", out)]
+        assert len(values) == 7 and all(math.isfinite(v) for v in values)
+
     def test_missing_targets_key(self, tmp_path, scenario, capsys):
         d = scenario.to_dict()
         del d["targets"]

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +95,20 @@ class TestEta:
         dphi = scale * rng.standard_normal(16)
         gap = abs(sys_.eta_exact_all(np.exp(1j * dphi))[0] - sys_.eta_linearized_all(dphi)[0])
         assert gap <= np.sum(dphi**2) / 2.0 + 1e-12
+
+    def test_exact_beam_sums_memory(self):
+        """eta_exact_all on a (33, 65 536) batch of rotations traces at most 1.5 times
+        the batch's bytes: no (cells, targets, elements) array is formed."""
+        rng = child_rng(10)
+        system = random_system(rng, 65_536, 2)
+        rotation = np.exp(1j * rng.uniform(-0.1, 0.1, (33, 65_536)))
+        tracemalloc.start()
+        try:
+            system.eta_exact_all(rotation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rotation.nbytes
 
     def test_eta_targets(self):
         np.testing.assert_allclose(eta_targets(0.5, (0.5, 0.5), 441), [110.25, 110.25])

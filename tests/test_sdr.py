@@ -14,6 +14,7 @@ from ris_isac import (
 )
 from ris_isac.beamforming import beam_gains, metric_factors
 from ris_isac.channel import path_gains
+from ris_isac.errors import NumericalError
 from ris_isac.sdr import RANDOMIZATION_TRIALS, psd_project
 
 
@@ -26,7 +27,7 @@ def small_problem(small_scenario):
 
 def snr_and_gains(problem, v):
     """SNR and gains (K,) of one phase vector, or of each row of a batch, from the factors."""
-    scores = beam_gains(v, np.vstack([problem.q_ue, problem.q_targets]))
+    scores = beam_gains(v, problem.factors)
     return scores[..., 0], scores[..., 1:]
 
 
@@ -142,8 +143,7 @@ class TestSolveSdp:
     def test_unreachable_floors_flagged(self, small_problem):
         problem, _ = small_problem
         hopeless = SdpProblem(
-            q_ue=problem.q_ue,
-            q_targets=problem.q_targets,
+            factors=problem.factors,
             desired_gains=problem.desired_gains * 1e6,
         )
         with pytest.raises((Infeasible, NonConvergence)):
@@ -160,11 +160,21 @@ class TestRandomization:
         # gains are one (linear, dB) pair per target, as perfbench's probe reads them
         scores = beam_gains(v, metric_factors(channels))
         assert scores[0] == metrics.snr_linear
-        assert metrics.gains.shape == (len(problem.q_targets), 2)
+        assert metrics.gains.shape == (len(problem.factors) - 1, 2)
         gains = np.array([g for g, _ in metrics.gains])
         np.testing.assert_array_equal(scores[1:], gains)
         assert np.all(gains >= 0.95 * problem.desired_gains)
         assert metrics.snr_linear <= sol.relaxed_objective * (1 + 1e-3)
+
+    def test_nonfinite_relaxation_is_numerical_error(self, small_problem):
+        """A NaN relaxed matrix fails as NumericalError in the extraction, as it does
+        in psd_project, not as numpy's LinAlgError."""
+        problem, _ = small_problem
+        nan = np.full((problem.n_elements,) * 2, np.nan, dtype=complex)
+        with pytest.raises(NumericalError):
+            psd_project(nan)
+        with pytest.raises(NumericalError):
+            gaussian_randomization(nan, problem, child_rng(6))
 
     def test_deterministic_given_rng(self, small_problem):
         problem, _ = small_problem
@@ -180,8 +190,7 @@ class TestRandomization:
         problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
         problem = SdpProblem(
-            q_ue=problem.q_ue,
-            q_targets=problem.q_targets,
+            factors=problem.factors,
             desired_gains=problem.desired_gains * floor_scale,
         )
         n, trials, slack = problem.n_elements, RANDOMIZATION_TRIALS, 0.05
