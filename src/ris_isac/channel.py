@@ -1,9 +1,8 @@
 """Deterministic and random channel quantities.
 
-Steering vectors of the RIS uniform planar array, dB-to-linear path losses,
-and the Rician RIS-to-user channel.  build_channels also forms the link gain
-P*beta_g*M of matched transmission, the one place that product is formed,
-and carries it with the noise power on the ChannelSet, next to the target
+Steering vectors of the RIS uniform planar array and the Rician RIS-to-user
+channel.  build_channels carries the link gain P*beta_g*M and the noise
+power, which ScenarioConfig derives, on the ChannelSet, next to the target
 steering as one (K, N) array with a row per target.  Angles are measured
 at each array from the global +x axis (atan2 convention); the config layer
 accepts degrees, everything here is radians.
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SPEED_OF_LIGHT, ScenarioConfig, _from_db  # SPEED_OF_LIGHT: re-exported
+from .config import ScenarioConfig
 from .errors import DegenerateGeometry
 
 Rng = np.random.Generator
@@ -81,28 +80,6 @@ def ris_steering_rx(scenario: ScenarioConfig, theta: float | np.ndarray) -> np.n
     return np.exp(1j * phase)
 
 
-def path_loss_linear(l0_db: float, exponent_coeff: float, distance_m: float) -> float:
-    """Convert the dB loss model L0 + coeff*log10(d) into a linear power gain."""
-    if distance_m <= 0:
-        raise DegenerateGeometry(f"path_loss_linear: nonpositive distance {distance_m}")
-    loss_db = l0_db + exponent_coeff * float(np.log10(distance_m))
-    return _from_db(-loss_db)
-
-
-def path_gains(scenario: ScenarioConfig) -> tuple[float, float]:
-    """Linear path gains (beta_g, beta_ue) of the BS-RIS and RIS-user links."""
-
-    def distance(a, b) -> float:
-        return float(np.hypot(b[0] - a[0], b[1] - a[1]))
-
-    return (
-        path_loss_linear(scenario.reference_loss_db, scenario.bs_ris_exponent,
-                         distance(scenario.bs_pos, scenario.ris_pos)),
-        path_loss_linear(scenario.reference_loss_db, scenario.ris_ue_exponent,
-                         distance(scenario.ris_pos, scenario.ue_pos)),
-    )
-
-
 def rician_user_channel(
     a_ue: np.ndarray, kappa: float, beta_ue: float, rng: Rng
 ) -> np.ndarray:
@@ -141,18 +118,16 @@ def target_angle(scenario: ScenarioConfig, index: int) -> float:
 
 def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
     """Instantiate every channel quantity for one fading realization."""
-    beta_g, beta_ue = path_gains(scenario)
-
     theta_link = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)
     target_thetas = [target_angle(scenario, k) for k in range(len(scenario.targets))]
 
     g_ris = ris_steering_tx(scenario, theta_link)
     a_ue = ris_steering_rx(scenario, theta_ue)
-    h_ue = rician_user_channel(a_ue, scenario.rician_kappa, beta_ue, rng)
+    h_ue = rician_user_channel(a_ue, scenario.rician_kappa, scenario.path_gains[1], rng)
 
     return ChannelSet(
-        gain_prefactor=scenario.transmit_power_w * beta_g * scenario.bs_antennas,
+        gain_prefactor=scenario.gain_prefactor,
         noise_power_w=scenario.noise_power_w,
         g_ris=g_ris,
         h_ue=h_ue,

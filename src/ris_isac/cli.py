@@ -145,8 +145,7 @@ def cmd_solve(args) -> int:
 
     print(f"gamma_db={outcome.metrics.snr_db[0]:.6f}")
     gain_ub_db = gain_upper_bound(
-        scenario.alpha, scenario.weights, outcome.realization.channels.gain_prefactor,
-        scenario.n_elements, db=True,
+        scenario.alpha, scenario.weights, scenario.gain_prefactor, scenario.n_elements, db=True
     )
     for k, ((_, g_db), ub_db) in enumerate(zip(outcome.metrics.gains[0], gain_ub_db), 1):
         print(f"gain_t{k}_db={g_db:.6f} gain_ub_t{k}_db={ub_db:.6f}")

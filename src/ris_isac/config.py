@@ -1,8 +1,10 @@
 """Scenario configuration: dataclasses, JSON loading, validation.
 
-All powers and losses are kept in dB units here; conversion to linear
-happens once when a scenario is turned into channels/constants, so the
-numerical core never mixes units.
+Powers and losses are dB fields.  ScenarioConfig derives the linear link
+budget from them, once: the powers, the path gains (beta_g, beta_ue) and
+gain_prefactor = P*beta_g*M, the link gain of matched transmission and the
+one place that product is formed.  validate() range-checks these values;
+build_channels carries them into a realization.
 
 Each config type checks its own fields when it is built, so every
 LambdaPolicy, TargetSpec and ScenarioConfig that exists is valid: replace
@@ -18,6 +20,8 @@ import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -179,6 +183,22 @@ class ScenarioConfig:
         return _from_db(self.noise_power_dbm - 30.0)
 
     @property
+    def path_gains(self) -> tuple[float, float]:
+        """Linear gains (beta_g, beta_ue) of the BS-RIS and RIS-user links, L0 + c*log10(d) dB."""
+
+        def gain(a, b, exponent) -> float:
+            distance = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+            return _from_db(-(self.reference_loss_db + exponent * float(np.log10(distance))))
+
+        return (gain(self.bs_pos, self.ris_pos, self.bs_ris_exponent),
+                gain(self.ris_pos, self.ue_pos, self.ris_ue_exponent))
+
+    @property
+    def gain_prefactor(self) -> float:
+        """P*beta_g*M; over the noise power it is the SNR prefactor."""
+        return self.transmit_power_w * self.path_gains[0] * self.bs_antennas
+
+    @property
     def weights(self) -> tuple[float, ...]:
         return tuple(t.weight for t in self.targets)
 
@@ -189,8 +209,6 @@ class ScenarioConfig:
         """Check each field against the kind its annotation names, then the
         cross-field rules; raises ConfigError naming the field.  It runs on
         every construction, so a ScenarioConfig that exists has passed it."""
-        from .channel import path_gains  # channel imports this module
-
         _check_fields(self)
         if not isinstance(self.lambda_policy, LambdaPolicy):
             raise ConfigError(
@@ -219,8 +237,8 @@ class ScenarioConfig:
         for i, t in enumerate(self.targets):
             if t.position is not None and tuple(t.position) == tuple(self.ris_pos):
                 raise ConfigError(f"targets[{i}]: position coincides with ris_pos")
-        beta_g, beta_ue = path_gains(self)
-        gain_ceiling = self.transmit_power_w * beta_g * self.bs_antennas * self.n_elements**2
+        beta_g, beta_ue = self.path_gains
+        gain_ceiling = self.gain_prefactor * self.n_elements**2
         for name, linear in (
             ("transmit_power_dbm", self.transmit_power_w),
             ("noise_power_dbm", self.noise_power_w),

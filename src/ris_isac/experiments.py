@@ -19,13 +19,12 @@ from .channel import angle_from_positions, child_rng, ris_steering_rx
 from .config import LambdaPolicy, ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
 from .perturb import build_system, eta_targets, solve_perturbation
-from .pipeline import design, realize
+from .pipeline import SDR_STREAM, design, realize
 from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
 # the largest element count N at which SDR runs
 SDR_CAP = 64
 WEIGHT_RATIOS = (1.0, 2.0, 5.0, 10.0)
-_SDR_STREAM = 1
 
 FLOAT_FMT = "%.9g"
 
@@ -82,7 +81,7 @@ def _method_phase(real, method):
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
-    return gaussian_randomization(solution.v_matrix, problem, child_rng(s.seed, _SDR_STREAM))[0]
+    return gaussian_randomization(solution.v_matrix, problem, child_rng(s.seed, SDR_STREAM))[0]
 
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:

@@ -27,6 +27,7 @@ from .perturb import (
 )
 
 CHANNEL_STREAM = 0  # child_rng(seed, CHANNEL_STREAM) draws a realization's fading
+SDR_STREAM = 1  # child_rng(seed, SDR_STREAM) draws the SDR randomization of a realization
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import pytest
 from oracles import bs_steering_for
 
 from ris_isac import build_channels, child_rng, load_default_scenario
-from ris_isac.channel import path_gains
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +30,7 @@ def g_bs(scenario):
 @pytest.fixture()
 def beta_g(scenario):
     """BS-RIS path gain of the `scenario` fixture, a pre-MRT oracle quantity."""
-    return path_gains(scenario)[0]
+    return scenario.path_gains[0]
 
 
 def random_unit_channels(rng, n):

@@ -5,15 +5,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import bs_steering
 from ris_isac import DegenerateGeometry, build_channels, child_rng, load_default_scenario
 from ris_isac.channel import (
-    SPEED_OF_LIGHT,
     angle_from_positions,
-    path_gains,
-    path_loss_linear,
     rician_user_channel,
     ris_steering_rx,
     ris_steering_tx,
     target_angle,
 )
+from ris_isac.config import SPEED_OF_LIGHT
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 SHIPPED = load_default_scenario()
@@ -92,18 +90,17 @@ class TestSteering:
 
 class TestPathLoss:
     def test_reference_values(self):
-        # 30 + 22 log10(d) dB at the BS-RIS distance of the shipped layout
-        d = np.hypot(30.0, 30.0)
-        assert path_loss_linear(30.0, 22.0, d) == pytest.approx(2.625428796375616e-07)
-        d2 = np.hypot(70.0, 50.0)
-        assert path_loss_linear(30.0, 25.0, d2) == pytest.approx(1.4570026790857404e-08)
+        # 30 + 22 log10(d) dB over the BS-RIS distance hypot(30, 30) of the shipped
+        # layout, and 30 + 25 log10(d) dB over its RIS-user distance hypot(70, 50)
+        beta_g, beta_ue = SHIPPED.path_gains
+        assert beta_g == pytest.approx(2.625428796375616e-07)
+        assert beta_ue == pytest.approx(1.4570026790857404e-08)
 
     def test_monotone_in_distance(self):
-        assert path_loss_linear(30, 22, 10) > path_loss_linear(30, 22, 20)
-
-    def test_nonpositive_distance(self):
-        with pytest.raises(DegenerateGeometry):
-            path_loss_linear(30, 22, 0.0)
+        near = SHIPPED.replace(ue_pos=(40.0, 30.0))  # 10 m from the RIS
+        far = SHIPPED.replace(ue_pos=(50.0, 30.0))  # 20 m
+        assert near.path_gains[1] > far.path_gains[1]
+        assert near.path_gains[0] == far.path_gains[0]
 
 
 class TestRician:
@@ -139,12 +136,13 @@ class TestBuildChannels:
         assert (target_angle(scenario, 0), target_angle(scenario, 1)) == tuple(
             np.deg2rad([65.0, 90.0])
         )
-        assert path_gains(scenario)[0] == pytest.approx(2.625428796375616e-07)
-        assert channels.gain_prefactor == (
-            scenario.transmit_power_w * path_gains(scenario)[0] * scenario.bs_antennas
+        assert scenario.path_gains[0] == pytest.approx(2.625428796375616e-07)
+        assert channels.gain_prefactor == scenario.gain_prefactor  # bit for bit
+        assert scenario.gain_prefactor == (
+            scenario.transmit_power_w * scenario.path_gains[0] * scenario.bs_antennas
         )
         assert channels.noise_power_w == scenario.noise_power_w
-        assert path_gains(scenario)[1] == pytest.approx(1.4570026790857404e-08)
+        assert scenario.path_gains[1] == pytest.approx(1.4570026790857404e-08)
 
     def test_deterministic(self, scenario):
         c1 = build_channels(scenario, child_rng(scenario.seed, 0))

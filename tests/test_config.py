@@ -1,9 +1,12 @@
+import ast
+import inspect
 import json
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from ris_isac import ConfigError, LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scenario
+from ris_isac import config
 from ris_isac.config import default_scenario_path
 
 
@@ -88,6 +91,11 @@ class TestScenarioConfig:
     def test_coincident_positions(self, scenario):
         with pytest.raises(ConfigError):
             scenario.replace(ue_pos=scenario.ris_pos).validate()
+
+    def test_link_budget_derived_without_channel(self):
+        # config derives the path gains itself and imports nothing from channel
+        tree = ast.parse(inspect.getsource(config))
+        assert "channel" not in {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
 
     @pytest.mark.parametrize(
         "build",

@@ -13,7 +13,6 @@ from ris_isac import (
     solve_sdp,
 )
 from ris_isac.beamforming import beam_gains, metric_factors
-from ris_isac.channel import path_gains
 from ris_isac.errors import NumericalError
 from ris_isac.sdr import RANDOMIZATION_TRIALS, psd_project
 
@@ -69,7 +68,7 @@ class TestPsiMatrices:
         """|q^H v|^2 on the problem's factors reproduces the pre-MRT SNR and
         gains under the matched beamformer."""
         problem, channels = small_problem
-        beta_g = path_gains(small_scenario)[0]
+        beta_g = small_scenario.path_gains[0]
         g_bs = bs_steering_for(small_scenario)
         w_star = mrt_beamformer(g_bs, small_scenario.transmit_power_w)
         rng = child_rng(4)
