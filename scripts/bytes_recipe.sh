@@ -8,8 +8,9 @@
 # with `diff -r -x complexity -x manifest.json OUT1 OUT2`.  It writes the
 # 3-seed reproduction tree, the AoA scan at the scenario's alpha = 1 (the
 # lambda = 0 pseudo-inverse path, where rounding shows first) on the shipped
-# scenario and on its 4x4 copy, five `solve` summaries (one on a 64x64 copy,
-# N = 4 096, where the factor shapes differ most from N x N), a 2-seed alpha
+# scenario and on its 4x4 copy, six `solve` summaries (one on a 64x64 copy,
+# N = 4 096, where the factor shapes differ most from N x N, and one on a copy
+# whose second target is given by its position, not its angle), a 2-seed alpha
 # sweep over 11 alphas on that 64x64 copy (a 33-cell batch at N = 4 096), and
 # the 20-seed alpha sweep over 11 alphas (the shape of one perfbench
 # alpha-sweep op) and the 20-seed weight sweep, both on the shipped scenario.
@@ -41,6 +42,11 @@ python -c 'import json; from ris_isac import load_default_scenario
 print(json.dumps(load_default_scenario().replace(ris_rows=64, ris_cols=64).to_dict(), indent=2))' \
     > "$OUT/large_surface.json"
 ris_isac solve --scenario "$OUT/large_surface.json" > "$OUT/solve_large_surface.txt"
+python -c 'import json; from ris_isac.config import default_scenario_path
+d = json.loads(default_scenario_path().read_text())
+d["targets"][1] = {"weight": 0.5, "position": [45.0, 70.0]}
+print(json.dumps(d, indent=2))' > "$OUT/position_target.json"
+ris_isac solve --scenario "$OUT/position_target.json" > "$OUT/solve_position_target.txt"
 ris_isac experiment alpha-sweep --seeds 2 --alphas 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1 \
     --scenario "$OUT/large_surface.json" --out "$OUT/alpha_sweep_large_surface"
 ris_isac experiment alpha-sweep --seeds 20 --alphas 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1 \

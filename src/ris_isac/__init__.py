@@ -13,7 +13,6 @@ from .config import LambdaPolicy, ScenarioConfig, TargetSpec, load_default_scena
 from .errors import (
     CapExceeded,
     ConfigError,
-    DegenerateGeometry,
     Infeasible,
     NonConvergence,
     NumericalError,
@@ -36,7 +35,6 @@ __all__ = [
     "CapExceeded",
     "ChannelSet",
     "ConfigError",
-    "DegenerateGeometry",
     "Infeasible",
     "LambdaPolicy",
     "Metrics",

@@ -4,8 +4,11 @@ Steering vectors of the RIS uniform planar array and the Rician RIS-to-user
 channel.  build_channels carries the link gain P*beta_g*M and the noise
 power, which ScenarioConfig derives, on the ChannelSet, next to the target
 steering as one (K, N) array with a row per target.  Angles are measured
-at each array from the global +x axis (atan2 convention); the config layer
-accepts degrees, everything here is radians.
+at each array from the global +x axis by angle_from_positions (atan2
+convention), which also gives the heatmap its cell angles; the config layer
+accepts degrees, everything here is radians.  ScenarioConfig holds every
+position as a pair of floats and rejects coincident ones, so the angles it
+takes are those of distinct points.
 
 The steering functions take the ScenarioConfig itself: its carrier sets the
 wavenumber and the half-wavelength spacing, its ris_rows and ris_cols the
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import DegenerateGeometry
 
 Rng = np.random.Generator
 
@@ -40,13 +42,10 @@ def child_rng(root_seed: int, *indices: int) -> Rng:
     return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=tuple(indices)))
 
 
-def angle_from_positions(origin, point) -> float:
-    """atan2 angle of `point` as seen from `origin`, in (-pi, pi]."""
-    dx = float(point[0]) - float(origin[0])
-    dy = float(point[1]) - float(origin[1])
-    if dx == 0.0 and dy == 0.0:
-        raise DegenerateGeometry(f"coincident positions {tuple(origin)}")
-    return float(np.arctan2(dy, dx))
+def angle_from_positions(origin, point):
+    """atan2 angle of `point` as seen from `origin`, in (-pi, pi]; the
+    coordinates of `point` may be arrays, giving one angle per point."""
+    return np.arctan2(point[1] - origin[1], point[0] - origin[0])
 
 
 def _ris_offsets(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -4,13 +4,13 @@ Subcommands: `solve` (one scenario end to end, printed summary),
 `experiment <study>` (CSV-producing studies), `validate` (config check
 only); each takes only the flags it reads, and argparse rejects any other
 with exit 2.  Flags override scenario-file fields, which override defaults.
-Exit codes: 0 success, 1 internal error (any other exception, on one line),
-2 config error (also a scenario file that cannot be read or is not a JSON
-object, and an --out that cannot be made or where an output name is a
-directory), 3 numerical error, 4 capability error.  An IllPosedWarning is
-one `warning:` line on stderr.  A successful run writes a JSON manifest
-that pins how to reproduce it, with its wall time, before its results; a
-failed run writes nothing.
+Exit codes: 0 success, 1 internal error (any other exception, a ShapeError
+too, on one line), 2 config error (also a scenario file that cannot be read
+or is not a JSON object, and an --out that cannot be made or where an output
+name is a directory), 3 numerical error (SDR NonConvergence and Infeasible
+too), 4 capability error.  An IllPosedWarning is one `warning:` line on
+stderr.  A successful run writes a JSON manifest that pins how to reproduce
+it, with its wall time, before its results; a failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import MAX_ARRAY_LENGTH, LambdaPolicy, ScenarioConfig, default_scenario_path
-from .errors import (
-    CapExceeded,
-    ConfigError,
-    IllPosedWarning,
-    Infeasible,
-    NumericalError,
-    RisIsacError,
-)
+from .errors import CapExceeded, ConfigError, IllPosedWarning, NumericalError
 from .perturb import gain_upper_bound
 from .pipeline import solve_scenario
 
@@ -41,7 +34,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CAPABILITY = 4
 
-DEFAULT_POLICY_GRID = ("adaptive", "fixed:0.1", "fixed:0.5")
+DEFAULT_POLICY_GRID = (LambdaPolicy(), LambdaPolicy(0.1), LambdaPolicy(0.5))
 DEFAULT_N_LIST = (64, 256, 1024, 4096, 16384, 65536)
 
 # Every flag of the CLI; each subcommand and study takes the ones it reads.
@@ -175,7 +168,7 @@ def cmd_experiment(args) -> int:
             alphas = [scenario.replace(alpha=float(a)).alpha for a in args.alphas.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--alphas: {exc}") from None
-        policies = [args.lambda_policy] if args.lambda_policy else list(DEFAULT_POLICY_GRID)
+        policies = [scenario.lambda_policy] if args.lambda_policy else DEFAULT_POLICY_GRID
         result = exp.sweep_alpha(scenario, alphas, policies, seeds)
     elif args.name == "weight-sweep":
         result = exp.sweep_weight_ratio(scenario, seeds)
@@ -223,11 +216,8 @@ def _run(args) -> int:
     except CapExceeded as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
-    except (NumericalError, Infeasible) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RisIsacError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -50,7 +50,9 @@ def _finite_real(value) -> bool:
 def _check_fields(obj, prefix: str = "") -> None:
     """The one field rule: each field must be of the kind its annotation
     names (int but not bool, finite float, or a pair of finite floats); an
-    optional field may also be None.  Raises ConfigError naming the field."""
+    optional field may also be None.  A pair is stored as a tuple of two
+    floats, so positions compare as the floats the geometry reads.  Raises
+    ConfigError naming the field."""
     for f in fields(obj):
         name, kind, v = prefix + f.name, f.type.removesuffix(" | None"), getattr(obj, f.name)
         if v is None and kind != f.type:
@@ -59,10 +61,11 @@ def _check_fields(obj, prefix: str = "") -> None:
             raise ConfigError(f"{name}: must be an integer, got {v!r}")
         if kind == "float" and not _finite_real(v):
             raise ConfigError(f"{name}: must be a finite number, got {v!r}")
-        if kind == "tuple[float, float]" and not (
-            isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_finite_real, v))
-        ):
-            raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
+        if kind == "tuple[float, float]":
+            if not (isinstance(v, (tuple, list)) and len(v) == 2
+                    and all(map(_finite_real, v))):
+                raise ConfigError(f"{name}: must be a pair of finite numbers, got {v!r}")
+            object.__setattr__(obj, f.name, (float(v[0]), float(v[1])))
 
 
 def _from_db(db: float) -> float:
@@ -71,11 +74,6 @@ def _from_db(db: float) -> float:
         return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         return math.inf
-
-
-def _as_tuple(value):
-    """A JSON list as a tuple; anything else is left for the field check to reject."""
-    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,12 @@ class ScenarioConfig:
         if self.carrier_hz <= 0:
             raise ConfigError("carrier_hz: must be positive")
         check_weight_sum(t.weight for t in self.targets)
-        if tuple(self.bs_pos) == tuple(self.ris_pos):
+        if self.bs_pos == self.ris_pos:
             raise ConfigError("ris_pos: coincides with bs_pos")
-        if tuple(self.ris_pos) == tuple(self.ue_pos):
+        if self.ris_pos == self.ue_pos:
             raise ConfigError("ue_pos: coincides with ris_pos")
         for i, t in enumerate(self.targets):
-            if t.position is not None and tuple(t.position) == tuple(self.ris_pos):
+            if t.position == self.ris_pos:
                 raise ConfigError(f"targets[{i}]: position coincides with ris_pos")
         beta_g, beta_ue = self.path_gains
         gain_ceiling = self.gain_prefactor * self.n_elements**2
@@ -291,8 +289,7 @@ class ScenarioConfig:
             if unknown:
                 raise ConfigError(f"targets[{i}]: unknown key(s): {', '.join(sorted(unknown))}")
             try:
-                position = _as_tuple(t.get("position"))
-                targets.append(TargetSpec(t["weight"], t.get("angle_deg"), position))
+                targets.append(TargetSpec(t["weight"], t.get("angle_deg"), t.get("position")))
             except ConfigError as exc:
                 raise ConfigError(f"targets[{i}].{exc}") from None
         data["targets"] = tuple(targets)
@@ -302,7 +299,7 @@ class ScenarioConfig:
         for name in (f.name for f in fields(cls) if f.type == "int"):
             if isinstance(data.get(name), float) and data[name].is_integer():
                 data[name] = int(data[name])  # JSON writes 11.0 for 11 as well
-        return cls(**{k: _as_tuple(v) for k, v in data.items()})
+        return cls(**data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":

@@ -1,12 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.  The CLI exits 2 on a
+ConfigError, 3 on a NumericalError (NonConvergence and Infeasible too), 4 on
+CapExceeded and 1 on anything else, ShapeError included: no scenario that
+validates raises one."""
 
 
 class RisIsacError(Exception):
     """Base class for all toolkit errors."""
-
-
-class DegenerateGeometry(RisIsacError):
-    """Coincident positions, nonpositive distances, or a zero channel."""
 
 
 class ShapeError(RisIsacError):
@@ -34,7 +33,7 @@ class NonConvergence(NumericalError):
         )
 
 
-class Infeasible(RisIsacError):
+class Infeasible(NumericalError):
     """The constraint set appears empty (slack pinned at zero, residuals stuck)."""
 
 

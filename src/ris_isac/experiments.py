@@ -16,7 +16,7 @@ import numpy as np
 
 from .beamforming import beam_factors, beam_gains, to_db
 from .channel import angle_from_positions, child_rng, ris_steering_rx
-from .config import LambdaPolicy, ScenarioConfig, TargetSpec
+from .config import ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
 from .perturb import build_system, eta_targets, solve_perturbation
 from .pipeline import SDR_STREAM, design, realize
@@ -111,8 +111,7 @@ def run_heatmap(scenario: ScenarioConfig, method: str, seeds) -> SweepResult:
     if method == "sdr" and scenario.n_elements > SDR_CAP:
         raise CapExceeded(f"sdr requested for N={scenario.n_elements} above cap {SDR_CAP}")
     xx, yy = np.meshgrid(np.arange(1.0, 120.0, 2.0), np.arange(-39.0, 40.0, 2.0))
-    angles = np.arctan2(yy - scenario.ris_pos[1], xx - scenario.ris_pos[0]).ravel()
-    steering = ris_steering_rx(scenario, angles)
+    steering = ris_steering_rx(scenario, angle_from_positions(scenario.ris_pos, (xx, yy)).ravel())
     (mean,) = _seed_mean_patterns(scenario, seeds, [method], steering)
 
     rows = [
@@ -156,13 +155,12 @@ def sweep_alpha(
     lambda_policies,
     seeds,
 ) -> SweepResult:
-    """Proposed-method trade-off sweep over alpha for several ridge policies."""
-    policies = [LambdaPolicy.parse(p) for p in lambda_policies]
+    """Proposed-method sweep over alpha for several ridge policies (LambdaPolicy objects)."""
     return _design_rows(scenario, seeds, [
         ({"alpha": float(alpha), "lambda_policy": str(policy)},
          (float(alpha), scenario.weights, policy))
         for alpha in alphas
-        for policy in policies
+        for policy in lambda_policies
     ])
 
 

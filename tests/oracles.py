@@ -5,14 +5,14 @@ in their general pre-MRT form, which the factored forms in
 import numpy as np
 
 from ris_isac.channel import angle_from_positions
-from ris_isac.errors import DegenerateGeometry, ShapeError
+from ris_isac.errors import ShapeError
 
 
 def bs_steering(m_antennas: int, theta_tx: float, scenario) -> np.ndarray:
     """BS array response for a departure angle, at the scenario's carrier and
     half-wavelength spacing; entries are unit modulus."""
     if m_antennas < 1:
-        raise DegenerateGeometry("bs_steering: need at least one antenna")
+        raise ValueError("bs_steering: need at least one antenna")
     m = np.arange(1, m_antennas + 1)
     k, d = scenario.wavenumber, scenario.spacing
     phase = k * (m - (m_antennas + 1) / 2.0) * d * np.cos(theta_tx)
@@ -29,7 +29,7 @@ def mrt_beamformer(g_bs: np.ndarray, power_w: float) -> np.ndarray:
     """Matched-filter beamformer scaled to the full power budget."""
     norm = np.linalg.norm(g_bs)
     if norm == 0.0:
-        raise DegenerateGeometry("mrt_beamformer: zero steering vector")
+        raise ValueError("mrt_beamformer: zero steering vector")
     return np.sqrt(power_w) * np.asarray(g_bs, dtype=complex) / norm
 
 

@@ -58,22 +58,23 @@ def alpha_half_means(scenario):
     of the normalized sigma_max of the realization it is applied to.
     """
     cell = scenario.replace(alpha=0.5)
-    policies = ("fixed:0.5", "adaptive", "fixed:0.1")
+    policies = (LambdaPolicy(0.5), LambdaPolicy(), LambdaPolicy(0.1))
     sweep = sweep_alpha(cell, [0.5], policies, SEEDS)
     systems = [realize(cell.replace(seed=s)).system for s in SEEDS]
     out = {}
     for policy in policies:
-        gamma = mean_over_seeds(sweep, "gamma_db", lambda_policy=policy)
+        label = str(policy)
+        gamma = mean_over_seeds(sweep, "gamma_db", lambda_policy=label)
         gain = np.mean([
-            mean_over_seeds(sweep, "gain_t1_db", lambda_policy=policy),
-            mean_over_seeds(sweep, "gain_t2_db", lambda_policy=policy),
+            mean_over_seeds(sweep, "gain_t1_db", lambda_policy=label),
+            mean_over_seeds(sweep, "gain_t2_db", lambda_policy=label),
         ])
         ridge = np.mean([
-            LambdaPolicy.parse(policy).normalized(cell.alpha, system.sigma_max_normalized)
+            policy.normalized(cell.alpha, system.sigma_max_normalized)
             / system.sigma_max_normalized
             for system in systems
         ])
-        out[policy] = (gamma, gain, float(ridge))
+        out[label] = (gamma, gain, float(ridge))
     return out
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bs_steering
-from ris_isac import DegenerateGeometry, build_channels, child_rng, load_default_scenario
+from ris_isac import build_channels, child_rng, load_default_scenario
 from ris_isac.channel import (
     angle_from_positions,
     rician_user_channel,
@@ -45,10 +45,6 @@ class TestGeometry:
         assert angle_from_positions((30, 30), (100, -20)) == pytest.approx(
             np.deg2rad(-35.53767779197438)
         )
-
-    def test_coincident_positions(self):
-        with pytest.raises(DegenerateGeometry):
-            angle_from_positions((1.0, 2.0), (1.0, 2.0))
 
 
 class TestSteering:

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ris_isac import cli
+from ris_isac import Infeasible, ShapeError, cli
 from ris_isac.cli import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
     EXIT_INTERNAL,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
 )
@@ -197,13 +198,23 @@ class TestSolve:
         assert main(["solve", "--lambda-policy", policy]) == EXIT_CONFIG
         assert "lambda_policy" in capsys.readouterr().err
 
-    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "exc, code, message",
+        [
+            (RuntimeError, EXIT_INTERNAL, "internal error: RuntimeError: boom"),
+            # no CLI input raises a ShapeError, so one is a bug
+            (ShapeError, EXIT_INTERNAL, "internal error: ShapeError: boom"),
+            (Infeasible, EXIT_NUMERICAL, "numerical error: boom"),
+        ],
+        ids=["RuntimeError", "ShapeError", "Infeasible"],
+    )
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys, exc, code, message):
         def boom(args):
-            raise RuntimeError("boom")
+            raise exc("boom")
 
         monkeypatch.setattr(cli, "cmd_solve", boom)
-        assert main(["solve"]) == EXIT_INTERNAL
-        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+        assert main(["solve"]) == code
+        assert capsys.readouterr().err == message + "\n"
 
     def test_other_warnings_pass_through(self, monkeypatch):
         def warn(args):
@@ -472,6 +483,8 @@ def _shipped_with(**fields):
 # alphas whose linear ceiling P*beta_g*M*(alpha*w_k*N)^2 is subnormal or underflows to 0
 @example(d=_shipped_with(alpha=5e-162))
 @example(d=_shipped_with(alpha=3e-162))
+# distinct as integers, equal as the floats the geometry reads
+@example(d=_shipped_with(bs_pos=[10**20, 0], ris_pos=[10**20 + 1, 0]))
 def test_any_scenario_is_rejected_or_finite(tmp_path_factory, d):
     """Any mutation of the shipped scenario exits 2, or exits 0 with finite output."""
     p = tmp_path_factory.getbasetemp() / "mutated.json"

@@ -88,9 +88,33 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="alpha"):
             scenario.replace(alpha=1.5).validate()
 
-    def test_coincident_positions(self, scenario):
-        with pytest.raises(ConfigError):
-            scenario.replace(ue_pos=scenario.ris_pos).validate()
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"bs_pos": [30.0, 30.0]}, "ris_pos"),
+            ({"ue_pos": [30.0, 30.0]}, "ue_pos"),
+            ({"targets": [{"weight": 0.5, "angle_deg": 65.0},
+                          {"weight": 0.5, "position": [30.0, 30.0]}]}, r"targets\[1\]"),
+            # distinct as integers, one float: 10**20 + 1 rounds to 1e20
+            ({"bs_pos": [10**20, 0], "ris_pos": [10**20 + 1, 0]}, "ris_pos"),
+        ],
+        ids=["bs_ris", "ris_ue", "target_ris", "integers_equal_as_floats"],
+    )
+    def test_coincident_positions(self, fields, field):
+        d = {**json.loads(default_scenario_path().read_text()), **fields}
+        with pytest.raises(ConfigError, match=rf"^{field}: (position )?coincides"):
+            ScenarioConfig.from_dict(d)
+
+    def test_positions_held_as_float_pairs(self, scenario):
+        d = json.loads(default_scenario_path().read_text())
+        d.update(bs_pos=[0, 0], ris_pos=[30, 30], ue_pos=[100, -20])
+        d["targets"][1] = {"weight": 0.5, "position": [45, 70]}
+        s = ScenarioConfig.from_dict(d)
+        for pos in (s.bs_pos, s.ris_pos, s.ue_pos, s.targets[1].position):
+            assert type(pos) is tuple and [type(c) for c in pos] == [float, float], pos
+        hash(s)
+        # a list given to replace is held the same way
+        assert scenario.replace(ue_pos=[100, -20]).ue_pos == (100.0, -20.0)
 
     def test_link_budget_derived_without_channel(self):
         # config derives the path gains itself and imports nothing from channel

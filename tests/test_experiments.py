@@ -57,8 +57,8 @@ class TestHeatmap:
 
 class TestSweepAlpha:
     def test_rows_and_determinism(self, scenario, tmp_path):
-        r1 = sweep_alpha(scenario, [0.0, 1.0], ["adaptive", "fixed:0.5"], [1, 2])
-        r2 = sweep_alpha(scenario, [0.0, 1.0], ["adaptive", "fixed:0.5"], [1, 2])
+        r1 = sweep_alpha(scenario, [0.0, 1.0], [LambdaPolicy(), LambdaPolicy(0.5)], [1, 2])
+        r2 = sweep_alpha(scenario, [0.0, 1.0], [LambdaPolicy(), LambdaPolicy(0.5)], [1, 2])
         assert len(r1.rows) == 2 * 2 * 2
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         r1.write_csv(p1)
@@ -66,13 +66,13 @@ class TestSweepAlpha:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_fieldnames_cover_targets(self, scenario):
-        r = sweep_alpha(scenario, [0.5], ["adaptive"], [1])
+        r = sweep_alpha(scenario, [0.5], [LambdaPolicy()], [1])
         assert r.fieldnames == (
             "alpha", "lambda_policy", "seed", "gamma_db", "gain_t1_db", "gain_t2_db"
         )
 
     def test_mean_over_seeds(self, scenario):
-        r = sweep_alpha(scenario, [0.5], ["adaptive"], [1, 2])
+        r = sweep_alpha(scenario, [0.5], [LambdaPolicy()], [1, 2])
         vals = [row["gamma_db"] for row in r.rows]
         assert mean_over_seeds(r, "gamma_db", alpha=0.5) == pytest.approx(np.mean(vals))
         with pytest.raises(KeyError):
@@ -83,10 +83,10 @@ class TestSharedRealization:
     """Cells that share a seed's realization equal independent solves exactly."""
 
     def test_sweep_alpha_matches_independent_solves(self, scenario):
-        alphas, policies, seeds = [0.25, 1.0], ["adaptive", "fixed:0.1"], [1, 2]
+        alphas, policies, seeds = [0.25, 1.0], [LambdaPolicy(), LambdaPolicy(0.1)], [1, 2]
         r = sweep_alpha(scenario, alphas, policies, seeds)
         assert [(row["alpha"], row["lambda_policy"], row["seed"]) for row in r.rows] == [
-            (a, p, s) for a in alphas for p in policies for s in seeds
+            (a, str(p), s) for a in alphas for p in policies for s in seeds
         ]
         for row in r.rows:
             cell = scenario.replace(
