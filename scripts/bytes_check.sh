@@ -1,0 +1,29 @@
+#!/bin/sh
+# Compare the outputs of scripts/bytes_recipe.sh at a git revision with those
+# of this working tree, with no install step:
+#
+#   scripts/bytes_check.sh REV
+#
+# REV is exported with `git archive` into a temporary directory and this
+# tree's recipe is copied over its own, so both sides run the same recipe.
+# Prints `diff -r` of the two outputs, leaving out the timings (complexity)
+# and the environment records (manifest.json), and exits 1 if they differ.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 REV" >&2
+    exit 2
+fi
+cd "$(dirname "$0")/.."
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/rev"
+git archive "$1" | tar -x -C "$TMP/rev"
+cp scripts/bytes_recipe.sh "$TMP/rev/scripts/bytes_recipe.sh"
+"$TMP/rev/scripts/bytes_recipe.sh" "$TMP/rev_out"
+scripts/bytes_recipe.sh "$TMP/tree_out"
+if diff -r -x complexity -x manifest.json "$TMP/rev_out" "$TMP/tree_out"; then
+    echo "outputs identical to $1"
+else
+    exit 1
+fi

@@ -18,7 +18,6 @@ from .beamforming import beam_factors, beam_gains, to_db
 from .channel import angle_from_positions, child_rng, ris_steering_rx
 from .config import ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
-from .perturb import build_system, eta_targets, solve_perturbation
 from .pipeline import SDR_STREAM, design, realize
 from .sdr import SdpProblem, gaussian_randomization, solve_sdp
 
@@ -63,6 +62,8 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     returns one result per cell, and is dropped before the next seed.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("seeds: need at least one seed")
     results = [[None] * len(seeds) for _ in cells]
     for j, seed in enumerate(seeds):
         real = realize(scenario.replace(seed=seed))
@@ -212,9 +213,10 @@ def run_complexity_probe(n_list, scenario: ScenarioConfig, repeats: int = 5) -> 
     """Median wall time of the two solvers versus element count.
 
     Each N is a 1 x N copy of the scenario at alpha 0.5 with two equal-weight
-    targets at 60 and 120 degrees.  The proposed timing covers system build
-    plus SVD solve for a fixed channel realization; the SDR timing covers the
-    splitting solve.  SDR entries are only produced for N at or below SDR_CAP.
+    targets at 60 and 120 degrees.  The proposed timing covers one design of
+    a fixed channel realization (factorization, stacking check, solve with
+    its Taylor check, metrics); the SDR timing covers the splitting solve.
+    SDR entries are only produced for N at or below SDR_CAP.
     """
     if repeats < 1:
         raise ConfigError("run_complexity_probe: repeats must be >= 1")
@@ -234,18 +236,12 @@ def run_complexity_probe(n_list, scenario: ScenarioConfig, repeats: int = 5) -> 
             ris_rows=1, ris_cols=int(n), alpha=0.5,
             targets=(TargetSpec(0.5, angle_deg=60.0), TargetSpec(0.5, angle_deg=120.0)),
         )
-        channels = realize(cell).channels
-        eta_bar = eta_targets(cell.alpha, cell.weights, cell.n_elements)
-
-        def proposed_once():
-            system = build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor)
-            lam = cell.lambda_policy.normalized(cell.alpha, system.sigma_max_normalized)
-            return solve_perturbation(system, [eta_bar], [lam])
-
-        seconds = median_seconds(proposed_once)
+        real = realize(cell)
+        design_cell = (cell.alpha, cell.weights, cell.lambda_policy)
+        seconds = median_seconds(lambda: design(real, [design_cell]))
         rows.append({"n_elements": int(n), "method": "proposed", "median_seconds": seconds})
         if n <= SDR_CAP:
-            problem = SdpProblem.from_channels(channels, cell.alpha, cell.weights)
+            problem = SdpProblem.from_channels(real.channels, cell.alpha, cell.weights)
             seconds = median_seconds(lambda: solve_sdp(problem))
             rows.append({"n_elements": int(n), "method": "sdr", "median_seconds": seconds})
 

@@ -114,11 +114,15 @@ class PerturbationSystem:
 
     def eta_exact_all(self, rotation: np.ndarray) -> np.ndarray:
         """Exact beam sums (..., K) of rotations exp(j*delta_phi) (..., N)."""
-        return row_products(np.conj(rotation), self.alignment.T)
+        # conjugates the (K, N) alignment and the sums, never a copy of the batch
+        return np.conj(row_products(rotation, np.conj(self.alignment).T))
 
     def eta_linearized_all(self, delta_phi: np.ndarray) -> np.ndarray:
         """First-order beam sums (..., K) of perturbations (..., N)."""
-        linear_part = row_products(np.asarray(delta_phi, dtype=float), self.alignment.T)
+        # two real products: a complex one would cast the batch to a complex copy
+        dphi = np.asarray(delta_phi, dtype=float)
+        linear_part = (row_products(dphi, self.alignment.real.T)
+                       + 1j * row_products(dphi, self.alignment.imag.T))
         return self.alignment.sum(axis=1) - 1j * linear_part
 
 
@@ -150,9 +154,10 @@ def build_system(
     k, n = np.shape(a_targets)
     if n != len(h_ue):
         raise ShapeError("build_system: target steering length mismatch")
-    if k > n:
+    if 2 * k > n:
         warnings.warn(
-            f"{k} targets exceed {n} RIS elements; system is overdetermined",
+            f"{k} targets give {2 * k} real equations for {n} RIS elements;"
+            " system is overdetermined",
             IllPosedWarning,
         )
 
@@ -191,7 +196,8 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
 
     delta_phi = row_products(filt * row_products(b, system.svd_u), system.svd_vt)
 
-    rotation = np.exp(1j * delta_phi)
+    rotation = 1j * delta_phi
+    np.exp(rotation, out=rotation)
     eta = system.eta_exact_all(rotation)
     objective = system.scale**2 * (np.abs(eta - eta_bar) ** 2).sum(axis=-1)
     bound = (delta_phi**2).sum(axis=-1) / 2.0

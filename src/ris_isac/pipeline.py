@@ -1,9 +1,9 @@
 """End-to-end solves: scenario -> channels -> phase design -> metrics.
 
-realize() draws one fading realization and factorizes it; design() aims
-that factorization at alpha * w * N for a batch of (alpha, weights, policy)
-cells and evaluates them together in one pass of array operations, returning
-one SolveOutcome whose arrays carry the cell axis.  Every RIS configuration
+realize() draws one fading realization; design() factorizes it, aims that
+factorization at alpha * w * N for a batch of (alpha, weights, policy) cells
+and evaluates them together in one pass of array operations, returning one
+SolveOutcome whose arrays carry the cell axis.  Every RIS configuration
 here is a unit-modulus vector v, v_comm times the solver's rotation.
 """
 
@@ -32,12 +32,11 @@ SDR_STREAM = 1  # child_rng(seed, SDR_STREAM) draws the SDR randomization of a r
 
 @dataclass(frozen=True)
 class Realization:
-    """One fading realization with its factorized perturbation system."""
+    """One fading realization and its communication-optimal configuration."""
 
     scenario: ScenarioConfig
     channels: ChannelSet
     v_comm: np.ndarray  # communication-optimal configuration (N,)
-    system: PerturbationSystem
 
 
 @dataclass(frozen=True)
@@ -45,30 +44,27 @@ class SolveOutcome:
     """Everything produced by a batch of C proposed-method designs on one
     realization; report, metrics and v_final carry the cell axis."""
 
-    realization: Realization
+    system: PerturbationSystem  # the factorization the batch was solved on
     report: SolveReport
     metrics: Metrics
     v_final: np.ndarray  # the designed configurations (C, N) that metrics scores
 
 
 def realize(scenario: ScenarioConfig) -> Realization:
-    """Draw the channels of the scenario's seed and factorize its system."""
+    """Draw the channels of the scenario's seed and align v_comm to them."""
     channels = build_channels(scenario, child_rng(scenario.seed, CHANNEL_STREAM))
-    return Realization(
-        scenario=scenario,
-        channels=channels,
-        v_comm=comm_optimal_phase(channels.h_ue, channels.g_ris),
-        system=build_system(channels.h_ue, channels.a_targets, channels.gain_prefactor),
-    )
+    return Realization(scenario, channels, comm_optimal_phase(channels.h_ue, channels.g_ris))
 
 
 def design(realization: Realization, cells) -> SolveOutcome:
     """Closed-form designs for the cells (alpha, weights, policy) of one
-    realization, solved as one batch: one stacking check, one filtered
-    solve with its Taylor-bound check, and one metric evaluation for all."""
+    realization, solved as one batch: one factorization, one stacking check,
+    one filtered solve with its Taylor-bound check, and one metric evaluation
+    for all."""
     if not cells:
         raise ShapeError("design: cells is empty; need at least one (alpha, weights, policy)")
-    system = realization.system
+    ch = realization.channels
+    system = build_system(ch.h_ue, ch.a_targets, ch.gain_prefactor)
     alphas, weights, policies = zip(*cells)
     alpha = np.array(alphas, dtype=float)[:, None]
     eta_bar = eta_targets(alpha, weights, system.n_elements)
@@ -77,7 +73,7 @@ def design(realization: Realization, cells) -> SolveOutcome:
     system.check_stacking(eta_bar)
     report = solve_perturbation(system, eta_bar, lam)
     v_final = realization.v_comm * report.rotation
-    return SolveOutcome(realization, report, metrics_for(v_final, realization.channels), v_final)
+    return SolveOutcome(system, report, metrics_for(v_final, ch), v_final)
 
 
 def solve_scenario(scenario: ScenarioConfig) -> SolveOutcome:

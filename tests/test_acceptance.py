@@ -18,6 +18,7 @@ from ris_isac import (
     build_system,
     child_rng,
     comm_optimal_phase,
+    design,
     gaussian_randomization,
     load_default_scenario,
     realize,
@@ -60,7 +61,8 @@ def alpha_half_means(scenario):
     cell = scenario.replace(alpha=0.5)
     policies = (LambdaPolicy(0.5), LambdaPolicy(), LambdaPolicy(0.1))
     sweep = sweep_alpha(cell, [0.5], policies, SEEDS)
-    systems = [realize(cell.replace(seed=s)).system for s in SEEDS]
+    channel_sets = [realize(cell.replace(seed=s)).channels for s in SEEDS]
+    systems = [build_system(ch.h_ue, ch.a_targets, ch.gain_prefactor) for ch in channel_sets]
     out = {}
     for policy in policies:
         label = str(policy)
@@ -182,7 +184,7 @@ def test_criterion_05_taylor_bound(scenario):
         for seed in SEEDS[:5]:
             o = solve_scenario(scenario.replace(alpha=alpha, seed=seed))
             dphi = o.report.delta_phi[0]
-            system = o.realization.system
+            system = o.system
             eta = system.eta_exact_all(o.report.rotation[0])
             gap = np.abs(eta - system.eta_linearized_all(dphi))
             bound = np.sum(dphi**2) / 2.0
@@ -209,9 +211,10 @@ def test_criterion_07_target_gain_uplift(scenario):
     """At alpha=1 the perturbed design lifts target-angle gain by >= 15 dB."""
     diffs = []
     for seed in SEEDS:
-        o = solve_scenario(scenario.replace(alpha=1.0, seed=seed))
+        cell = scenario.replace(alpha=1.0, seed=seed)
         # compare the same realization with and without the perturbation
-        real = o.realization
+        real = realize(cell)
+        o = design(real, [(cell.alpha, cell.weights, cell.lambda_policy)])
         comm_only = metrics_for(real.v_comm, real.channels)
         prop = np.mean([g_db for _, g_db in o.metrics.gains[0]])
         comm = np.mean([g_db for _, g_db in comm_only.gains])
@@ -320,7 +323,8 @@ def test_criterion_10_complexity_scaling(scenario):
     slope = float(np.polyfit(np.log(fit_n), np.log(fit_t), 1)[0])
     ordering = times[(4096, "proposed")] < times[(32, "sdr")]
 
-    system = realize(scenario.replace(ris_rows=64, ris_cols=64)).system
+    ch = realize(scenario.replace(ris_rows=64, ris_cols=64)).channels
+    system = build_system(ch.h_ue, ch.a_targets, ch.gain_prefactor)
     limit = 2 * system.n_targets * system.n_elements
     largest = max(np.size(getattr(system, f.name)) for f in fields(system))
     ok = (0.6 <= slope <= 1.5) and ordering and largest <= limit

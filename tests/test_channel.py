@@ -84,21 +84,6 @@ class TestSteering:
         np.testing.assert_allclose(np.abs(bs_steering(1, 0.7, surface())), 1.0)
 
 
-class TestPathLoss:
-    def test_reference_values(self):
-        # 30 + 22 log10(d) dB over the BS-RIS distance hypot(30, 30) of the shipped
-        # layout, and 30 + 25 log10(d) dB over its RIS-user distance hypot(70, 50)
-        beta_g, beta_ue = SHIPPED.path_gains
-        assert beta_g == pytest.approx(2.625428796375616e-07)
-        assert beta_ue == pytest.approx(1.4570026790857404e-08)
-
-    def test_monotone_in_distance(self):
-        near = SHIPPED.replace(ue_pos=(40.0, 30.0))  # 10 m from the RIS
-        far = SHIPPED.replace(ue_pos=(50.0, 30.0))  # 20 m
-        assert near.path_gains[1] > far.path_gains[1]
-        assert near.path_gains[0] == far.path_gains[0]
-
-
 class TestRician:
     def test_pure_los_limit(self):
         a = np.exp(1j * np.linspace(0, 1, 16))

@@ -332,19 +332,22 @@ class TestExperiment:
 
     @pytest.mark.parametrize("seeds", ["1", "2"])
     def test_ill_posed_design_warns_on_one_line(self, tmp_path, scenario, capsys, seeds):
-        """11 band targets on a 3x3 surface exceed N = 9; the scan still runs,
-        SDR included."""
-        p = tmp_path / "three.json"
-        p.write_text(json.dumps(scenario.replace(ris_rows=3, ris_cols=3).to_dict()))
-        out = tmp_path / "scan"
-        code = main([
-            "experiment", "aoa-scan", "--scenario", str(p), "--seeds", seeds, "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        assert capsys.readouterr().err == (
-            "warning: 11 targets exceed 9 RIS elements; system is overdetermined\n"
-        )
-        assert len((out / "aoa_scan.csv").read_text().splitlines()) == 1 + 2 * 721
+        """11 band targets give 22 real equations, more than N = 9 on a 3x3
+        surface and N = 16 on a 4x4 one; the scan still runs, SDR included."""
+        for side in (3, 4):
+            p = tmp_path / f"side{side}.json"
+            p.write_text(json.dumps(scenario.replace(ris_rows=side, ris_cols=side).to_dict()))
+            out = tmp_path / f"scan{side}"
+            code = main([
+                "experiment", "aoa-scan", "--scenario", str(p), "--seeds", seeds,
+                "--out", str(out),
+            ])
+            assert code == EXIT_OK
+            assert capsys.readouterr().err == (
+                f"warning: 11 targets give 22 real equations for {side * side} RIS elements;"
+                " system is overdetermined\n"
+            )
+            assert len((out / "aoa_scan.csv").read_text().splitlines()) == 1 + 2 * 721
 
     def test_seeds_must_be_positive(self, small_file, tmp_path):
         code = main([

@@ -68,6 +68,21 @@ class TestTargetSpec:
             TargetSpec(**kwargs)
 
 
+class TestPathGains:
+    def test_reference_values(self, scenario):
+        # 30 + 22 log10(d) dB over the BS-RIS distance hypot(30, 30) of the shipped
+        # layout, and 30 + 25 log10(d) dB over its RIS-user distance hypot(70, 50)
+        beta_g, beta_ue = scenario.path_gains
+        assert beta_g == pytest.approx(2.625428796375616e-07)
+        assert beta_ue == pytest.approx(1.4570026790857404e-08)
+
+    def test_monotone_in_distance(self, scenario):
+        near = scenario.replace(ue_pos=(40.0, 30.0))  # 10 m from the RIS
+        far = scenario.replace(ue_pos=(50.0, 30.0))  # 20 m
+        assert near.path_gains[1] > far.path_gains[1]
+        assert near.path_gains[0] == far.path_gains[0]
+
+
 class TestScenarioConfig:
     def test_shipped_scenario_valid(self, scenario):
         scenario.validate()

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 from sweeps import mean_over_seeds
 
-from ris_isac import CapExceeded, ConfigError, LambdaPolicy, TargetSpec, solve_scenario
+from ris_isac import (
+    CapExceeded,
+    ConfigError,
+    LambdaPolicy,
+    TargetSpec,
+    build_system,
+    pipeline,
+    solve_scenario,
+)
 from ris_isac.channel import angle_from_positions, target_angle
+from ris_isac.errors import IllPosedWarning
 from ris_isac.experiments import (
     WEIGHT_RATIOS,
     beampattern_vs_aoa,
@@ -53,6 +62,34 @@ class TestHeatmap:
         lines = path.read_text().splitlines()
         assert lines[0] == "x_m,y_m,gain_db"
         assert len(lines) == 1 + len(h.rows)
+
+
+class TestCellRunner:
+    """The one cell runner behind every study that takes a seed list."""
+
+    @pytest.mark.parametrize("method, factorizations", [
+        ("comm-only", 0), ("sdr", 0), ("proposed", 2),
+    ])
+    def test_only_designs_factorize(self, small_scenario, monkeypatch, method, factorizations):
+        calls = []
+
+        def counting_build_system(*args):
+            calls.append(args)
+            return build_system(*args)
+
+        monkeypatch.setattr(pipeline, "build_system", counting_build_system)
+        run_heatmap(small_scenario, method, seeds=[1, 2])
+        assert len(calls) == factorizations
+
+    @pytest.mark.parametrize("study", [
+        lambda s, seeds: run_heatmap(s, "proposed", seeds),
+        lambda s, seeds: sweep_alpha(s, [0.5], [LambdaPolicy()], seeds),
+        sweep_weight_ratio,
+        beampattern_vs_aoa,
+    ], ids=["heatmap", "alpha-sweep", "weight-sweep", "aoa-scan"])
+    def test_empty_seed_list_rejected(self, small_scenario, study):
+        with pytest.raises(ConfigError, match="seeds"):
+            study(small_scenario, [])
 
 
 class TestSweepAlpha:
@@ -130,7 +167,9 @@ class TestSweepWeightRatio:
 
 class TestAoaScan:
     def test_band_expansion_and_grid(self, small_scenario):
-        r = beampattern_vs_aoa(small_scenario, seeds=[1])
+        # 11 band targets give 22 real equations for the 16 elements
+        with pytest.warns(IllPosedWarning):
+            r = beampattern_vs_aoa(small_scenario, seeds=[1])
         assert {row["method"] for row in r.rows} == {"proposed", "sdr"}
         # scan grid contains the band samples and the exact user angle
         ue_deg = np.rad2deg(

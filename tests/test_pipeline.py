@@ -21,13 +21,19 @@ def comm_only_metrics(real):
     return metrics_for(real.v_comm, real.channels)
 
 
+def realize_and_solve(scenario):
+    """The scenario's realization and its solve_scenario outcome."""
+    real = realize(scenario)
+    return real, design(real, [(scenario.alpha, scenario.weights, scenario.lambda_policy)])
+
+
 class TestResolveLambda:
     """The ridge each policy resolves to, as solve_scenario reports it."""
 
     def test_adaptive_alpha_zero_is_sigma_max(self, scenario):
         outcome = solve_scenario(scenario.replace(alpha=0.0))
         assert outcome.report.lambda_used[0] == pytest.approx(
-            outcome.realization.system.sigma_max_normalized
+            outcome.system.sigma_max_normalized
         )
 
     def test_adaptive_alpha_one_is_zero(self, scenario):
@@ -39,7 +45,7 @@ class TestResolveLambda:
         outcome = solve_scenario(cell)
         # the solver reports the normalized ridge; the power scale stays inside it
         assert outcome.report.lambda_used[0] == pytest.approx(
-            0.1 * outcome.realization.system.sigma_max_normalized
+            0.1 * outcome.system.sigma_max_normalized
         )
 
     def test_scale_invariance_of_policy(self, scenario):
@@ -59,46 +65,46 @@ class TestSolveScenario:
 
     def test_frozen_reference_numbers(self, scenario):
         """End-to-end pinned values for the shipped scenario, seed 1, alpha 1."""
-        o = solve_scenario(scenario)
+        real, o = realize_and_solve(scenario)
         assert o.metrics.snr_db[0] == pytest.approx(23.382017477480485, abs=1e-9)
-        sigma = o.realization.system.sigma_max_normalized
+        sigma = o.system.sigma_max_normalized
         assert sigma == pytest.approx(15.38800258951944, abs=1e-9)
-        comm_only = comm_only_metrics(o.realization)
+        comm_only = comm_only_metrics(real)
         assert comm_only.snr_db == pytest.approx(28.20810878359081, abs=1e-9)
 
     def test_alpha_zero_keeps_comm_phase_close(self, scenario):
-        o = solve_scenario(scenario.replace(alpha=0.0))
-        assert abs(o.metrics.snr_db[0] - comm_only_metrics(o.realization).snr_db) < 0.5
+        real, o = realize_and_solve(scenario.replace(alpha=0.0))
+        assert abs(o.metrics.snr_db[0] - comm_only_metrics(real).snr_db) < 0.5
 
     def test_gain_bounds_respected_in_linear_sense(self, scenario):
         # exact gains can exceed the design value only through linearization error;
         # with alpha=1 they stay within a couple of dB below the analytic ceiling
-        o = solve_scenario(scenario)
+        real, o = realize_and_solve(scenario)
         bounds = gain_upper_bound(
             scenario.alpha,
             scenario.weights,
-            o.realization.channels.gain_prefactor,
+            real.channels.gain_prefactor,
             scenario.n_elements,
         )
         for (g_lin, _), ub in zip(o.metrics.gains[0], bounds):
             assert g_lin <= ub * 1.05
 
     def test_outcome_cross_checks(self, scenario):
-        o = solve_scenario(scenario.replace(alpha=0.5))
+        real, o = realize_and_solve(scenario.replace(alpha=0.5))
         assert o.v_final.shape == (1, scenario.n_elements)
         assert o.report.max_abs_perturbation[0] < np.pi
         # v_final shifts each phase of v_comm by its delta_phi
         np.testing.assert_allclose(
-            np.angle(o.v_final / o.realization.v_comm), o.report.delta_phi, atol=1e-12
+            np.angle(o.v_final / real.v_comm), o.report.delta_phi, atol=1e-12
         )
-        assert o.metrics.snr_linear[0] <= comm_only_metrics(o.realization).snr_linear + 1e-9
+        assert o.metrics.snr_linear[0] <= comm_only_metrics(real).snr_linear + 1e-9
 
     def test_large_surface_holds_no_n_by_n_factor(self, scenario):
         """A 256x256 surface (N = 65 536) solves with factors of at most 2K*N entries."""
         o = solve_scenario(scenario.replace(ris_rows=256, ris_cols=256))
         assert np.isfinite(o.metrics.snr_db).all()
         assert np.isfinite(o.metrics.gains).all()
-        system = o.realization.system
+        system = o.system
         limit = 2 * system.n_targets * system.n_elements
         for f in fields(PerturbationSystem):
             assert np.size(getattr(system, f.name)) <= limit, f.name

@@ -63,7 +63,7 @@ class TestPsdProject:
             assert np.linalg.norm(h - q) >= dist - 1e-10
 
 
-class TestPsiMatrices:
+class TestProblemFactors:
     def test_trace_forms_match_metrics(self, small_scenario, small_problem):
         """|q^H v|^2 on the problem's factors reproduces the pre-MRT SNR and
         gains under the matched beamformer."""
