@@ -57,9 +57,10 @@ class SweepResult:
 def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
     """Evaluate every cell on every seed; returns results[cell][seed].
 
-    Seeds are the outer loop: each seed's realization is drawn and
-    factorized once, goes with all cells to evaluate(real, cells), which
-    returns one result per cell, and is dropped before the next seed.
+    Seeds are the outer loop: each seed's realization is drawn once, goes
+    with all cells to evaluate(real, cells), which returns one result per
+    cell, and is dropped before the next seed.  An empty seed list is
+    rejected: a seed mean of nothing is NaN.
     """
     seeds = list(seeds)
     if not seeds:
