@@ -311,8 +311,8 @@ def test_criterion_09_sdr_dominance(scenario):
 
 
 def test_criterion_10_complexity_scaling(scenario):
-    """Proposed solve scales about linearly in N, holds no factor larger than
-    the 2K x N stack, and at N = 4 096 is faster than SDR at N = 32."""
+    """One proposed design scales about linearly in N, holds no factor larger
+    than the 2K x N stack, and at N = 4 096 is faster than SDR at N = 32."""
     probe = run_complexity_probe([32, 1024, 2048, 4096, 8192, 16384], repeats=7,
                                  scenario=scenario)
     times = {(r["n_elements"], r["method"]): r["median_seconds"] for r in probe.rows}
