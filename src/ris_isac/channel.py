@@ -115,14 +115,41 @@ def target_angle(scenario: ScenarioConfig, index: int) -> float:
     return angle_from_positions(scenario.ris_pos, t.position)
 
 
-def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
-    """Instantiate every channel quantity for one fading realization."""
+# The steering of the most recent geometry, keyed by every input it reads:
+# {key: (g_ris, a_ue, a_targets)}, at most one entry, arrays read-only.
+_steering_memo: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _geometry_steering(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BS-link, user LOS and target steering of the scenario's geometry.
+
+    None of it depends on the seed, so a seed loop computes it once; any
+    change of carrier, surface or angle recomputes it.
+    """
     theta_link = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)
-    target_thetas = [target_angle(scenario, k) for k in range(len(scenario.targets))]
+    target_thetas = tuple(target_angle(scenario, k) for k in range(len(scenario.targets)))
+    key = (scenario.carrier_hz, scenario.ris_rows, scenario.ris_cols,
+           theta_link, theta_ue, target_thetas)
+    steering = _steering_memo.get(key)
+    if steering is None:
+        steering = (
+            ris_steering_tx(scenario, theta_link),
+            ris_steering_rx(scenario, theta_ue),
+            ris_steering_rx(scenario, target_thetas),
+        )
+        for a in steering:
+            a.flags.writeable = False
+        _steering_memo.clear()
+        _steering_memo[key] = steering
+    return steering
 
-    g_ris = ris_steering_tx(scenario, theta_link)
-    a_ue = ris_steering_rx(scenario, theta_ue)
+
+def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
+    """Instantiate every channel quantity for one fading realization; the
+    steering arrays are shared between realizations of one geometry and are
+    read-only, the fading h_ue is drawn from rng."""
+    g_ris, a_ue, a_targets = _geometry_steering(scenario)
     h_ue = rician_user_channel(a_ue, scenario.rician_kappa, scenario.path_gains[1], rng)
 
     return ChannelSet(
@@ -130,5 +157,5 @@ def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
         noise_power_w=scenario.noise_power_w,
         g_ris=g_ris,
         h_ue=h_ue,
-        a_targets=ris_steering_rx(scenario, target_thetas),
+        a_targets=a_targets,
     )
