@@ -10,9 +10,7 @@
 # lambda = 0 pseudo-inverse path, where rounding shows first) on the shipped
 # scenario and on its 4x4 copy, six `solve` summaries (one on a 64x64 copy,
 # N = 4 096, where the factor shapes differ most from N x N, and one on a copy
-# whose second target is given by its position, not its angle), the `solve`
-# summaries of seeds 1, 2 and 1 on the 64x64 copy from one process (the later
-# calls read the steering and stacking draws that the first kept), a 2-seed alpha
+# whose second target is given by its position, not its angle), a 2-seed alpha
 # sweep over 11 alphas on that 64x64 copy (a 33-cell batch at N = 4 096), and
 # the 20-seed alpha sweep over 11 alphas (the shape of one perfbench
 # alpha-sweep op) and the 20-seed weight sweep, both on the shipped scenario.
@@ -44,10 +42,6 @@ python -c 'import json; from ris_isac import load_default_scenario
 print(json.dumps(load_default_scenario().replace(ris_rows=64, ris_cols=64).to_dict(), indent=2))' \
     > "$OUT/large_surface.json"
 ris_isac solve --scenario "$OUT/large_surface.json" > "$OUT/solve_large_surface.txt"
-python -c 'import sys; from ris_isac.cli import main
-for seed in ("1", "2", "1"):
-    if main(["solve", "--scenario", sys.argv[1], "--seed", seed]):
-        sys.exit(1)' "$OUT/large_surface.json" > "$OUT/solve_large_surface_one_process.txt"
 python -c 'import json; from ris_isac.config import default_scenario_path
 d = json.loads(default_scenario_path().read_text())
 d["targets"][1] = {"weight": 0.5, "position": [45.0, 70.0]}

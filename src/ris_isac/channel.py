@@ -28,6 +28,7 @@ import numpy as np
 from .config import ScenarioConfig
 
 Rng = np.random.Generator
+Steering = tuple[np.ndarray, np.ndarray, np.ndarray]  # g_ris, user LOS steering, a_targets
 
 KAPPA_CAP = 1e12  # stand-in for the pure-LOS limit
 
@@ -115,41 +116,30 @@ def target_angle(scenario: ScenarioConfig, index: int) -> float:
     return angle_from_positions(scenario.ris_pos, t.position)
 
 
-# The steering of the most recent geometry, keyed by every input it reads:
-# {key: (g_ris, a_ue, a_targets)}, at most one entry, arrays read-only.
-_steering_memo: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _geometry_steering(scenario: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BS-link, user LOS and target steering of the scenario's geometry.
-
-    None of it depends on the seed, so a seed loop computes it once; any
-    change of carrier, surface or angle recomputes it.
-    """
+def geometry_steering(scenario: ScenarioConfig) -> Steering:
+    """The steering that the scenario's geometry fixes and its seed does not:
+    g_ris, the user's line-of-sight steering and a_targets (K, N)."""
     theta_link = angle_from_positions(scenario.bs_pos, scenario.ris_pos)
     theta_ue = angle_from_positions(scenario.ris_pos, scenario.ue_pos)
-    target_thetas = tuple(target_angle(scenario, k) for k in range(len(scenario.targets)))
-    key = (scenario.carrier_hz, scenario.ris_rows, scenario.ris_cols,
-           theta_link, theta_ue, target_thetas)
-    steering = _steering_memo.get(key)
+    target_thetas = [target_angle(scenario, k) for k in range(len(scenario.targets))]
+    return (
+        ris_steering_tx(scenario, theta_link),
+        ris_steering_rx(scenario, theta_ue),
+        ris_steering_rx(scenario, target_thetas),
+    )
+
+
+def build_channels(
+    scenario: ScenarioConfig, rng: Rng, steering: Steering | None = None
+) -> ChannelSet:
+    """Instantiate every channel quantity for one fading realization.
+
+    steering is geometry_steering of the same geometry, for a seed loop that
+    computes it once; without it, it is computed here.  Only h_ue is drawn.
+    """
     if steering is None:
-        steering = (
-            ris_steering_tx(scenario, theta_link),
-            ris_steering_rx(scenario, theta_ue),
-            ris_steering_rx(scenario, target_thetas),
-        )
-        for a in steering:
-            a.flags.writeable = False
-        _steering_memo.clear()
-        _steering_memo[key] = steering
-    return steering
-
-
-def build_channels(scenario: ScenarioConfig, rng: Rng) -> ChannelSet:
-    """Instantiate every channel quantity for one fading realization; the
-    steering arrays are shared between realizations of one geometry and are
-    read-only, the fading h_ue is drawn from rng."""
-    g_ris, a_ue, a_targets = _geometry_steering(scenario)
+        steering = geometry_steering(scenario)
+    g_ris, a_ue, a_targets = steering
     h_ue = rician_user_channel(a_ue, scenario.rician_kappa, scenario.path_gains[1], rng)
 
     return ChannelSet(

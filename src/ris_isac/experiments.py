@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import beam_factors, beam_gains, to_db
-from .channel import angle_from_positions, child_rng, ris_steering_rx
+from .channel import angle_from_positions, child_rng, geometry_steering, ris_steering_rx
 from .config import ScenarioConfig, TargetSpec
 from .errors import CapExceeded, ConfigError
 from .pipeline import SDR_STREAM, design, realize
@@ -59,15 +59,17 @@ def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
 
     Seeds are the outer loop: each seed's realization is drawn once, goes
     with all cells to evaluate(real, cells), which returns one result per
-    cell, and is dropped before the next seed.  An empty seed list is
-    rejected: a seed mean of nothing is NaN.
+    cell, and is dropped before the next seed.  The seeds share one
+    geometry, so its steering is computed once for all of them.  An empty
+    seed list is rejected: a seed mean of nothing is NaN.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("seeds: need at least one seed")
+    steering = geometry_steering(scenario)
     results = [[None] * len(seeds) for _ in cells]
     for j, seed in enumerate(seeds):
-        real = realize(scenario.replace(seed=seed))
+        real = realize(scenario.replace(seed=seed), steering)
         for i, result in enumerate(evaluate(real, cells)):
             results[i][j] = result
     return results

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import Metrics, metrics_for
-from .channel import ChannelSet, build_channels, child_rng
+from .channel import ChannelSet, Steering, build_channels, child_rng
 from .config import ScenarioConfig
 from .errors import ShapeError
 from .perturb import (
@@ -50,9 +50,10 @@ class SolveOutcome:
     v_final: np.ndarray  # the designed configurations (C, N) that metrics scores
 
 
-def realize(scenario: ScenarioConfig) -> Realization:
-    """Draw the channels of the scenario's seed and align v_comm to them."""
-    channels = build_channels(scenario, child_rng(scenario.seed, CHANNEL_STREAM))
+def realize(scenario: ScenarioConfig, steering: Steering | None = None) -> Realization:
+    """Draw the channels of the scenario's seed and align v_comm to them;
+    steering, if given, is the geometry's (see build_channels)."""
+    channels = build_channels(scenario, child_rng(scenario.seed, CHANNEL_STREAM), steering)
     return Realization(scenario, channels, comm_optimal_phase(channels.h_ue, channels.g_ris))
 
 

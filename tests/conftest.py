@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import bs_steering_for
 
-from ris_isac import build_channels, channel, child_rng, load_default_scenario, perturb
+from ris_isac import build_channels, child_rng, load_default_scenario
 
 
 @pytest.fixture(scope="session")
@@ -14,13 +14,6 @@ def scenario():
 def small_scenario(scenario):
     """Desk-scale variant: 4x4 RIS, balanced trade-off."""
     return scenario.replace(ris_rows=4, ris_cols=4, alpha=0.5)
-
-
-@pytest.fixture()
-def cold_memos():
-    """Empty the process memos: the geometry steering and the stacking check's draws."""
-    channel._steering_memo.clear()
-    perturb._stacking_draws.cache_clear()
 
 
 @pytest.fixture(scope="session")

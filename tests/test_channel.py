@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bs_steering
-from ris_isac import LambdaPolicy, TargetSpec, build_channels, child_rng, load_default_scenario
+from ris_isac import build_channels, child_rng, load_default_scenario
 from ris_isac.channel import (
-    _geometry_steering,
     angle_from_positions,
+    geometry_steering,
     rician_user_channel,
     ris_steering_rx,
     ris_steering_tx,
@@ -131,45 +131,12 @@ class TestBuildChannels:
         c2 = build_channels(scenario, child_rng(scenario.seed, 0))
         np.testing.assert_array_equal(c1.h_ue, c2.h_ue)
 
-
-class TestSteeringMemo:
-    """build_channels keeps the steering of the most recent geometry."""
-
-    @pytest.mark.parametrize("change", [
-        {"seed": 9},
-        {"alpha": 0.3},
-        {"lambda_policy": LambdaPolicy.parse("fixed:0.1")},
-        {"targets": (TargetSpec(0.3, 65.0), TargetSpec(0.7, 90.0))},
-    ])
-    def test_seed_free_fields_share_the_steering(self, change):
-        kept = _geometry_steering(SHIPPED)
-        assert _geometry_steering(SHIPPED.replace(**change)) is kept
-        channels = build_channels(SHIPPED.replace(**change), child_rng(1, 0))
-        assert channels.g_ris is kept[0] and channels.a_targets is kept[2]
-
-    @pytest.mark.parametrize("change", [
-        {"carrier_hz": 12e9},
-        {"ris_rows": 20},
-        {"ris_cols": 20},
-        {"bs_pos": (0.0, 5.0)},
-        {"ris_pos": (30.0, 25.0)},
-        {"ue_pos": (90.0, -20.0)},
-        {"targets": (TargetSpec(0.5, 65.0), TargetSpec(0.5, 60.0))},
-        {"targets": (TargetSpec(0.5, 65.0), TargetSpec(0.5, position=(45.0, 70.0)))},
-    ])
-    def test_geometry_change_recomputes(self, change):
-        build_channels(SHIPPED, child_rng(1, 0))  # keeps the shipped geometry
-        s = SHIPPED.replace(**change)
-        got = build_channels(s, child_rng(1, 0))
-        g_ris = ris_steering_tx(s, angle_from_positions(s.bs_pos, s.ris_pos))
-        a_ue = ris_steering_rx(s, angle_from_positions(s.ris_pos, s.ue_pos))
-        a_targets = ris_steering_rx(s, [target_angle(s, k) for k in range(len(s.targets))])
-        h_ue = rician_user_channel(a_ue, s.rician_kappa, s.path_gains[1], child_rng(1, 0))
-        for name, want in (("g_ris", g_ris), ("a_targets", a_targets), ("h_ue", h_ue)):
-            np.testing.assert_array_equal(getattr(got, name), want, err_msg=name, strict=True)
-
-    def test_kept_arrays_are_read_only(self):
-        channels = build_channels(SHIPPED, child_rng(1, 0))
-        for kept in (*_geometry_steering(SHIPPED), channels.g_ris, channels.a_targets):
-            with pytest.raises(ValueError, match="read-only"):
-                kept[0] = 0.0
+    def test_given_steering_draws_the_same_realization(self, scenario):
+        steering = geometry_steering(scenario)
+        given = build_channels(scenario, child_rng(scenario.seed, 0), steering)
+        computed = build_channels(scenario, child_rng(scenario.seed, 0))
+        assert given.g_ris is steering[0] and given.a_targets is steering[2]
+        for name in ("g_ris", "h_ue", "a_targets"):
+            np.testing.assert_array_equal(
+                getattr(given, name), getattr(computed, name), err_msg=name, strict=True
+            )

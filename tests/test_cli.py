@@ -190,14 +190,6 @@ class TestSolve:
         # fixed:1.0 ignores alpha and applies the full sigma_max
         assert lam == pytest.approx(15.38800258951944, rel=1e-6)
 
-    def test_repeat_in_one_process_prints_the_same(self, cold_memos, capsys):
-        """The first solve fills the process memos, the second reads them."""
-        outputs = []
-        for _ in range(2):
-            assert main(["solve", "--seed", "3"]) == EXIT_OK
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
     def test_bad_policy_flag(self, capsys):
         assert main(["solve", "--lambda-policy", "banana"]) == EXIT_CONFIG
 

@@ -8,10 +8,11 @@ from ris_isac import (
     LambdaPolicy,
     TargetSpec,
     build_system,
+    channel,
     pipeline,
     solve_scenario,
 )
-from ris_isac.channel import angle_from_positions, target_angle
+from ris_isac.channel import angle_from_positions, ris_steering_tx, target_angle
 from ris_isac.errors import IllPosedWarning
 from ris_isac.experiments import (
     WEIGHT_RATIOS,
@@ -80,6 +81,17 @@ class TestCellRunner:
         monkeypatch.setattr(pipeline, "build_system", counting_build_system)
         run_heatmap(small_scenario, method, seeds=[1, 2])
         assert len(calls) == factorizations
+
+    def test_steering_computed_once_per_study(self, scenario, monkeypatch):
+        calls = []
+
+        def counting_steering_tx(*args):
+            calls.append(args)
+            return ris_steering_tx(*args)
+
+        monkeypatch.setattr(channel, "ris_steering_tx", counting_steering_tx)
+        sweep_alpha(scenario, [0.5], [LambdaPolicy()], [1, 2, 3])
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("study", [
         lambda s, seeds: run_heatmap(s, "proposed", seeds),

@@ -19,7 +19,7 @@ from ris_isac import (
     solve_perturbation,
 )
 from ris_isac.errors import IllPosedWarning, NumericalError, ShapeError
-from ris_isac.perturb import PerturbationSystem, _stacking_draws, eta_targets
+from ris_isac.perturb import PerturbationSystem, eta_targets
 
 
 def toy_prefactor(p=1.0, m=1, beta=1.0):
@@ -206,15 +206,6 @@ class TestBuildSystem:
         monkeypatch.setattr(PerturbationSystem, "a_stacked", property(lambda s: 2.0 * stack(s)))
         with pytest.raises(NumericalError):
             sys_.check_stacking(batch)
-
-    def test_stacking_draws_kept_for_the_last_n(self, cold_memos):
-        draws = _stacking_draws(16)
-        np.testing.assert_array_equal(draws, np.random.default_rng(0).standard_normal((10, 16)))
-        assert _stacking_draws(16) is draws
-        assert _stacking_draws(24).shape == (10, 24)
-        assert _stacking_draws.cache_info().currsize == 1
-        with pytest.raises(ValueError, match="read-only"):
-            draws[0, 0] = 1.0
 
     def test_svd_shapes_thin(self):
         sys_ = random_system(child_rng(16), 12, 2)
