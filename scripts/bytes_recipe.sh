@@ -13,7 +13,10 @@
 # whose second target is given by its position, not its angle), a 2-seed alpha
 # sweep over 11 alphas on that 64x64 copy (a 33-cell batch at N = 4 096), and
 # the 20-seed alpha sweep over 11 alphas (the shape of one perfbench
-# alpha-sweep op) and the 20-seed weight sweep, both on the shipped scenario.
+# alpha-sweep op) and the 20-seed weight sweep, both on the shipped scenario,
+# and a 2-seed AoA scan at alpha = 0.5 on a 6x6 copy (the shape of one
+# perfbench sdr-band op: the proposed design and SDR at N = 36 with 11 band
+# targets), so the SDR rows are compared byte for byte.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -41,6 +44,9 @@ ris_isac solve --scenario "$OUT/desk_scale.json" --alpha 1 --seed 7 \
 python -c 'import json; from ris_isac import load_default_scenario
 print(json.dumps(load_default_scenario().replace(ris_rows=64, ris_cols=64).to_dict(), indent=2))' \
     > "$OUT/large_surface.json"
+python -c 'import json; from ris_isac import load_default_scenario
+print(json.dumps(load_default_scenario().replace(ris_rows=6, ris_cols=6).to_dict(), indent=2))' \
+    > "$OUT/six_by_six.json"
 ris_isac solve --scenario "$OUT/large_surface.json" > "$OUT/solve_large_surface.txt"
 python -c 'import json; from ris_isac.config import default_scenario_path
 d = json.loads(default_scenario_path().read_text())
@@ -52,3 +58,5 @@ ris_isac experiment alpha-sweep --seeds 2 --alphas 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7
 ris_isac experiment alpha-sweep --seeds 20 --alphas 0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1 \
     --out "$OUT/alpha_sweep_20seeds"
 ris_isac experiment weight-sweep --seeds 20 --out "$OUT/weight_sweep_20seeds"
+ris_isac experiment aoa-scan --seeds 2 --alpha 0.5 --scenario "$OUT/six_by_six.json" \
+    --out "$OUT/aoa_scan_six_by_six"

@@ -54,25 +54,18 @@ class SweepResult:
         write_csv(path, self.fieldnames, self.rows)
 
 
-def _run_cells(scenario, seeds, cells, evaluate) -> list[list]:
-    """Evaluate every cell on every seed; returns results[cell][seed].
+def _realizations(scenario, seeds):
+    """Each seed's realization, in seed order, drawn as the loop reaches it.
 
-    Seeds are the outer loop: each seed's realization is drawn once, goes
-    with all cells to evaluate(real, cells), which returns one result per
-    cell, and is dropped before the next seed.  The seeds share one
-    geometry, so its steering is computed once for all of them.  An empty
-    seed list is rejected: a seed mean of nothing is NaN.
+    The seeds share one geometry, so its steering is computed once for all
+    of them.  An empty seed list is rejected here, when the study is called:
+    a seed mean of nothing is NaN.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigError("seeds: need at least one seed")
     steering = geometry_steering(scenario)
-    results = [[None] * len(seeds) for _ in cells]
-    for j, seed in enumerate(seeds):
-        real = realize(scenario.replace(seed=seed), steering)
-        for i, result in enumerate(evaluate(real, cells)):
-            results[i][j] = result
-    return results
+    return (realize(scenario.replace(seed=seed), steering) for seed in seeds)
 
 
 def _method_phase(real, method):
@@ -90,14 +83,13 @@ def _method_phase(real, method):
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
     """Seed-mean beampattern gain (dB) toward each steering row, one per method."""
-
-    def patterns(real, methods):
-        factors = beam_factors(steering, real.channels)
-        return [to_db(beam_gains(_method_phase(real, m), factors)) for m in methods]
-
-    results = _run_cells(scenario, seeds, methods, patterns)
     # a running total in seed order; np.sum's pairwise order would move the last bits
-    return [sum(per_seed, np.zeros(len(steering))) / len(per_seed) for per_seed in results]
+    totals = [np.zeros(len(steering)) for _ in methods]
+    for n_seeds, real in enumerate(_realizations(scenario, seeds), 1):
+        factors = beam_factors(steering, real.channels)
+        for total, method in zip(totals, methods):
+            total += to_db(beam_gains(_method_phase(real, method), factors))
+    return [total / n_seeds for total in totals]
 
 
 def run_heatmap(scenario: ScenarioConfig, method: str, seeds) -> SweepResult:
@@ -133,23 +125,20 @@ def _design_rows(scenario, seeds, labelled_cells) -> SweepResult:
     cells = [cell for _, cell in labelled_cells]
     gain_cols = [f"gain_t{k}_db" for k in range(1, len(scenario.targets) + 1)]
 
-    def rows_of(real, cells):
+    rows = [[] for _ in cells]  # one list per pair, each in seed order
+    for real in _realizations(scenario, seeds):
         metrics = design(real, cells).metrics
         snr_db, gains_db = metrics.snr_db.tolist(), metrics.gains[..., 1].tolist()
-        return [
-            {
+        for pair_rows, label, gamma_db, gains in zip(rows, labels, snr_db, gains_db):
+            pair_rows.append({
                 **label,
                 "seed": real.scenario.seed,
                 "gamma_db": gamma_db,
                 **dict(zip(gain_cols, gains)),
-            }
-            for label, gamma_db, gains in zip(labels, snr_db, gains_db)
-        ]
-
-    results = _run_cells(scenario, seeds, cells, rows_of)
+            })
     return SweepResult(
         fieldnames=(*labels[0], "seed", "gamma_db", *gain_cols),
-        rows=tuple(row for per_seed in results for row in per_seed),
+        rows=tuple(row for pair_rows in rows for row in pair_rows),
     )
 
 

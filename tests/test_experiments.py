@@ -66,7 +66,7 @@ class TestHeatmap:
 
 
 class TestCellRunner:
-    """The one cell runner behind every study that takes a seed list."""
+    """The one seed loop, `_realizations`, behind every study that takes a seed list."""
 
     @pytest.mark.parametrize("method, factorizations", [
         ("comm-only", 0), ("sdr", 0), ("proposed", 2),
@@ -102,6 +102,19 @@ class TestCellRunner:
     def test_empty_seed_list_rejected(self, small_scenario, study):
         with pytest.raises(ConfigError, match="seeds"):
             study(small_scenario, [])
+
+    @pytest.mark.parametrize("size, study", [
+        (4, lambda s, seeds: run_heatmap(s, "comm-only", seeds)),
+        (4, lambda s, seeds: run_heatmap(s, "proposed", seeds)),
+        # 6x6: the 11-target band gives 22 equations for 36 elements, and SDR runs
+        (6, beampattern_vs_aoa),
+    ], ids=["heatmap-comm-only", "heatmap-proposed", "aoa-scan"])
+    def test_two_seed_mean_is_mean_of_one_seed_runs(self, small_scenario, size, study):
+        """The seed mean is a running total in seed order, so it equals the
+        mean of the one-seed runs bit for bit."""
+        s = small_scenario.replace(ris_rows=size, ris_cols=size)
+        g1, g2, g12 = ([r["gain_db"] for r in study(s, seeds).rows] for seeds in ([1], [2], [1, 2]))
+        assert g12 == [(a + b) / 2 for a, b in zip(g1, g2)]
 
 
 class TestSweepAlpha:
