@@ -50,7 +50,7 @@ def eta_targets(alpha, weights, n_elements: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise ConfigError("targets: weights must be nonnegative")
-    for row in w.reshape(-1, w.shape[-1]):
+    for row in dict.fromkeys(map(tuple, w.reshape(-1, w.shape[-1]).tolist())):  # distinct rows
         check_weight_sum(row)
     return alpha * w * n_elements
 
@@ -122,10 +122,11 @@ class PerturbationSystem:
 
     def eta_linearized_all(self, delta_phi: np.ndarray) -> np.ndarray:
         """First-order beam sums (..., K) of perturbations (..., N)."""
-        # two real products: a complex one would cast the batch to a complex copy
+        # two real products: a complex one would cast the batch to a complex copy;
+        # contiguous (K, N) parts, as strided views send matmul past BLAS
         dphi = np.asarray(delta_phi, dtype=float)
-        linear_part = (row_products(dphi, self.alignment.real.T)
-                       + 1j * row_products(dphi, self.alignment.imag.T))
+        real, imag = (np.ascontiguousarray(p) for p in (self.alignment.real, self.alignment.imag))
+        linear_part = row_products(dphi, real.T) + 1j * row_products(dphi, imag.T)
         return self.alignment.sum(axis=1) - 1j * linear_part
 
 

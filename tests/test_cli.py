@@ -3,7 +3,11 @@ import io
 import itertools
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -425,6 +429,31 @@ def test_failed_experiment_leaves_no_output(tmp_path):
     out = tmp_path / "failed"
     assert main(["experiment", "heatmap", "--method", "sdr", "--out", str(out)]) == EXIT_CAPABILITY
     assert not out.exists()
+
+
+_REALLOCATE = """
+import resource
+import numpy as np
+from ris_isac import cli
+
+cli.main(["validate"])
+np.ones(3 << 20)  # 24 MiB, freed at once
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.ones(3 << 20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="malloc thresholds are set on glibc only")
+def test_main_keeps_freed_heap_for_reuse():
+    """Once main has run, a freed 24 MiB array stays in the heap, so allocating
+    it again faults almost no pages; with glibc's adaptive thresholds the heap
+    top was returned to the kernel and faulted back in, page by page."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _REALLOCATE], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(run.stdout.splitlines()[-1]) < 50
 
 
 _SPECIAL_FLOATS = [

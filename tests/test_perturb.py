@@ -133,6 +133,9 @@ class TestEta:
         np.testing.assert_allclose(eta_targets(0.5, (0.5, 0.5), 441), [110.25, 110.25])
         with pytest.raises(ConfigError):
             eta_targets(0.5, (0.6, 0.6), 441)
+        rows = [(0.5, 0.5), (0.6, 0.6), (0.5, 0.5), (0.7, 0.7)]
+        with pytest.raises(ConfigError, match=r"got 1\.2\)"):  # the first bad row
+            eta_targets(np.ones((4, 1)), rows, 441)
 
 
 class TestBuildSystem:
