@@ -78,15 +78,17 @@ def _method_phase(real, method):
     # sdr: relaxed solve + randomized extraction
     problem = SdpProblem.from_channels(real.channels, s.alpha, s.weights)
     solution = solve_sdp(problem)
-    return gaussian_randomization(solution.v_matrix, problem, child_rng(s.seed, SDR_STREAM))[0]
+    return gaussian_randomization(solution.factor, problem, child_rng(s.seed, SDR_STREAM))[0]
 
 
 def _seed_mean_patterns(scenario, seeds, methods, steering) -> list[np.ndarray]:
     """Seed-mean beampattern gain (dB) toward each steering row, one per method."""
     # a running total in seed order; np.sum's pairwise order would move the last bits
     totals = [np.zeros(len(steering)) for _ in methods]
+    factors = None
     for n_seeds, real in enumerate(_realizations(scenario, seeds), 1):
-        factors = beam_factors(steering, real.channels)
+        if factors is None:  # they read only g_ris and the prefactor: the geometry's
+            factors = beam_factors(steering, real.channels)
         for total, method in zip(totals, methods):
             total += to_db(beam_gains(_method_phase(real, method), factors))
     return [total / n_seeds for total in totals]

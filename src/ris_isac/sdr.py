@@ -54,9 +54,9 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdrSolution:
-    """Relaxed optimum of the SDP."""
+    """Relaxed optimum of the SDP, held as a factor of V = factor factor^H."""
 
-    v_matrix: np.ndarray  # Hermitian PSD, unit diagonal
+    factor: np.ndarray  # (N, r); rows of unit norm, as V has a unit diagonal
     relaxed_objective: float
     constraint_residuals: np.ndarray  # desired - achieved, per target (<=0 when met)
     diag_residual: float
@@ -177,9 +177,10 @@ def solve_sdp(
     d = np.real(np.diagonal(z))
     scale = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
     z = z * np.outer(scale, scale)
+    w, q = _hermitian_eigh(z)
 
     return SdrSolution(
-        v_matrix=z,
+        factor=q * np.sqrt(np.maximum(w, 0.0)),
         relaxed_objective=float(_quad(q_ue, z)),
         constraint_residuals=problem.desired_gains - _quad(q_targets, z),
         diag_residual=float(np.max(np.abs(np.real(np.diagonal(z)) - 1.0))),
@@ -188,7 +189,7 @@ def solve_sdp(
 
 
 def gaussian_randomization(
-    v_matrix: np.ndarray,
+    factor: np.ndarray,
     problem: SdpProblem,
     rng: Rng,
     slack: float = 0.05,
@@ -196,19 +197,16 @@ def gaussian_randomization(
     """Extract a unit-modulus phase vector from the relaxed solution.
 
     RANDOMIZATION_TRIALS candidates are drawn as complex Gaussians with
-    covariance v_matrix and projected entrywise to unit modulus.  Among
-    candidates meeting every gain floor within the given relative slack,
-    the one with the best SNR wins; if none qualifies, the candidate with
-    the best worst-case floor ratio is returned.  The vector (N,) returned
-    is the one its Metrics scored.
+    covariance V = factor factor^H, for any factor (N, r), and projected
+    entrywise to unit modulus.  Among candidates meeting every gain floor
+    within the given relative slack, the one with the best SNR wins; if
+    none qualifies, the candidate with the best worst-case floor ratio is
+    returned.  The vector (N,) returned is the one its Metrics scored.
     """
-    w, q = _hermitian_eigh(v_matrix)
-    chol_like = q * np.sqrt(np.maximum(w, 0.0))
-
     # trial t draws its real then its imaginary parts, as one draw per trial would
-    draws = rng.standard_normal((RANDOMIZATION_TRIALS, 2, problem.n_elements))
+    draws = rng.standard_normal((RANDOMIZATION_TRIALS, 2, factor.shape[1]))
     noise = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
-    candidates = np.exp(1j * np.angle(noise @ chol_like.T))
+    candidates = np.exp(1j * np.angle(noise @ factor.T))
     scores = beam_gains(candidates, problem.factors)
     snr, gains = scores[:, 0], scores[:, 1:]
     floors = np.asarray(problem.desired_gains, dtype=float)

@@ -1,6 +1,7 @@
 """Test oracles: the BS-side steering, the matched beamformer and both metrics
 in their general pre-MRT form, which the factored forms in
-``ris_isac.beamforming`` must match."""
+``ris_isac.beamforming`` must match, and the SDR randomization's candidate
+stream replayed one trial at a time."""
 
 import numpy as np
 
@@ -68,3 +69,15 @@ def beampattern_gain_general(
         raise ShapeError("beampattern_gain_general: RIS-side length mismatch")
     ris_sum = np.sum(np.conj(a_target) * np.conj(v) * g_ris)  # a^H diag(v^H) g_ris
     return float(beta_g * np.abs(ris_sum) ** 2 * np.abs(np.vdot(g_bs, w)) ** 2)
+
+
+def sequential_candidates(factor: np.ndarray, rng, trials: int) -> list[np.ndarray]:
+    """The randomization's candidates replayed one trial at a time: a complex
+    Gaussian draw with covariance factor factor^H (real parts, then imaginary),
+    projected entrywise to unit modulus."""
+    r = factor.shape[1]
+    candidates = []
+    for _ in range(trials):
+        noise = (rng.standard_normal(r) + 1j * rng.standard_normal(r)) / np.sqrt(2.0)
+        candidates.append(np.exp(1j * np.angle(factor @ noise)))
+    return candidates

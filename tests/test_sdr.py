@@ -2,18 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import beampattern_gain_general, bs_steering_for, comm_snr_general, mrt_beamformer
+from oracles import (
+    beampattern_gain_general,
+    bs_steering_for,
+    comm_snr_general,
+    mrt_beamformer,
+    sequential_candidates,
+)
 from ris_isac import (
     Infeasible,
     NonConvergence,
     SdpProblem,
     build_channels,
     child_rng,
+    comm_optimal_phase,
     gaussian_randomization,
     solve_sdp,
 )
-from ris_isac.beamforming import beam_gains, metric_factors
-from ris_isac.errors import NumericalError
+from ris_isac.beamforming import beam_gains, metric_factors, metrics_for
+from ris_isac.errors import NumericalError, ShapeError
 from ris_isac.sdr import RANDOMIZATION_TRIALS, psd_project
 
 
@@ -93,11 +100,10 @@ class TestSolveSdp:
     def test_solution_invariants(self, small_problem):
         problem, _ = small_problem
         sol = solve_sdp(problem, tol=1e-6)
-        n = problem.n_elements
-        assert sol.v_matrix.shape == (n, n)
+        assert sol.factor.shape[0] == problem.n_elements
         assert sol.diag_residual <= 1e-9
-        w = np.linalg.eigvalsh(sol.v_matrix)
-        assert w.min() >= -1e-6 * w.max()
+        # V = F F^H is PSD by construction; its unit diagonal is F's unit row norms
+        np.testing.assert_allclose(np.linalg.norm(sol.factor, axis=1), 1.0, atol=1e-9)
         # gain floors met up to solver tolerance
         assert np.all(sol.constraint_residuals <= 1e-3 * np.abs(problem.desired_gains))
         assert sol.iterations >= 1
@@ -115,14 +121,15 @@ class TestSolveSdp:
                 assert snr <= sol.relaxed_objective + slack
 
     def test_values_match_dense_trace_forms(self, small_problem):
-        """The reported objective and residuals equal tr(Z psi) with each psi
+        """The reported objective and residuals equal tr(F F^H psi) with each psi
         built densely as P*beta_g*M * q q^H, q = conj(steering) * g."""
         problem, channels = small_problem
         sol = solve_sdp(problem, tol=1e-6)
+        relaxed = sol.factor @ sol.factor.conj().T
 
         def trace_form(steering, weight):
             q = np.conj(steering) * channels.g_ris
-            return np.real(np.trace(sol.v_matrix @ (weight * np.outer(q, q.conj()))))
+            return np.real(np.trace(relaxed @ (weight * np.outer(q, q.conj()))))
 
         snr_weight = channels.gain_prefactor / channels.noise_power_w
         assert sol.relaxed_objective == pytest.approx(
@@ -137,7 +144,7 @@ class TestSolveSdp:
         problem, _ = small_problem
         a = solve_sdp(problem)
         b = solve_sdp(problem)
-        np.testing.assert_array_equal(a.v_matrix, b.v_matrix)
+        np.testing.assert_array_equal(a.factor, b.factor)
 
     def test_unreachable_floors_flagged(self, small_problem):
         problem, _ = small_problem
@@ -153,7 +160,7 @@ class TestRandomization:
     def test_extraction_feasible_and_unit_modulus(self, small_problem):
         problem, channels = small_problem
         sol = solve_sdp(problem, tol=1e-6)
-        v, metrics = gaussian_randomization(sol.v_matrix, problem, child_rng(6))
+        v, metrics = gaussian_randomization(sol.factor, problem, child_rng(6))
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
         # the returned configuration is the very candidate its metrics scored, and the
         # gains are one (linear, dB) pair per target, as perfbench's probe reads them
@@ -166,8 +173,9 @@ class TestRandomization:
         assert metrics.snr_linear <= sol.relaxed_objective * (1 + 1e-3)
 
     def test_nonfinite_relaxation_is_numerical_error(self, small_problem):
-        """A NaN relaxed matrix fails as NumericalError in the extraction, as it does
-        in psd_project, not as numpy's LinAlgError."""
+        """A NaN matrix fails as NumericalError in psd_project, not as numpy's
+        LinAlgError, and a NaN factor fails as NumericalError in the extraction,
+        where its candidates' Metrics are not finite."""
         problem, _ = small_problem
         nan = np.full((problem.n_elements,) * 2, np.nan, dtype=complex)
         with pytest.raises(NumericalError):
@@ -178,8 +186,8 @@ class TestRandomization:
     def test_deterministic_given_rng(self, small_problem):
         problem, _ = small_problem
         sol = solve_sdp(problem)
-        p1, _ = gaussian_randomization(sol.v_matrix, problem, child_rng(7))
-        p2, _ = gaussian_randomization(sol.v_matrix, problem, child_rng(7))
+        p1, _ = gaussian_randomization(sol.factor, problem, child_rng(7))
+        p2, _ = gaussian_randomization(sol.factor, problem, child_rng(7))
         np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize("floor_scale", [1.0, 1e3], ids=["feasible", "fallback"])
@@ -192,15 +200,10 @@ class TestRandomization:
             factors=problem.factors,
             desired_gains=problem.desired_gains * floor_scale,
         )
-        n, trials, slack = problem.n_elements, RANDOMIZATION_TRIALS, 0.05
-        w, q = np.linalg.eigh(0.5 * (sol.v_matrix + sol.v_matrix.conj().T))
-        factor = q * np.sqrt(np.maximum(w, 0.0))
+        slack = 0.05
         floors = problem.desired_gains
-        rng = child_rng(8)
         best_feasible = best_ratio = None
-        for _ in range(trials):
-            noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-            v = np.exp(1j * np.angle(factor @ noise))
+        for v in sequential_candidates(sol.factor, child_rng(8), RANDOMIZATION_TRIALS):
             snr, gains = snr_and_gains(problem, v)
             worst = np.min(gains / floors)
             if np.all(gains >= (1.0 - slack) * floors):
@@ -211,5 +214,22 @@ class TestRandomization:
         assert (best_feasible is not None) == (floor_scale == 1.0)
         expected = (best_feasible or best_ratio)[1]
 
-        v, _ = gaussian_randomization(sol.v_matrix, problem, child_rng(8), slack=slack)
+        v, _ = gaussian_randomization(sol.factor, problem, child_rng(8), slack=slack)
         np.testing.assert_allclose(v, expected, atol=1e-9)
+
+    def test_any_factor_rank_one(self, small_problem):
+        """The rank-one factor of v_comm v_comm^H draws only global rotations of
+        v_comm, so v_comm is extracted with its own Metrics."""
+        problem, channels = small_problem
+        v_comm = comm_optimal_phase(channels.h_ue, channels.g_ris)
+        v, metrics = gaussian_randomization(v_comm[:, None], problem, child_rng(9))
+        np.testing.assert_allclose(v, v[0] / v_comm[0] * v_comm, atol=1e-12)
+        expected = metrics_for(v_comm, channels)
+        assert metrics.snr_linear == pytest.approx(expected.snr_linear, rel=1e-12)
+        np.testing.assert_allclose(metrics.gains[:, 0], expected.gains[:, 0], rtol=1e-12)
+
+    def test_factor_row_count_must_match(self, small_problem):
+        problem, _ = small_problem
+        factor = np.ones((problem.n_elements + 1, 2), dtype=complex)
+        with pytest.raises(ShapeError):
+            gaussian_randomization(factor, problem, child_rng(9))
