@@ -7,7 +7,10 @@
 # REV is exported with `git archive` into a temporary directory and this
 # tree's recipe is copied over its own, so both sides run the same recipe.
 # Prints `diff -r` of the two outputs, leaving out the timings (complexity)
-# and the environment records (manifest.json), and exits 1 if they differ.
+# and the environment records (manifest.json).  If they differ, it then sizes
+# the difference with scripts/bytes_moves.py (for each differing file: rows
+# moved out of the total, the largest absolute move of any numeric field and
+# the `method` values of the moved rows) and exits 1.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -25,5 +28,7 @@ scripts/bytes_recipe.sh "$TMP/tree_out"
 if diff -r -x complexity -x manifest.json "$TMP/rev_out" "$TMP/tree_out"; then
     echo "outputs identical to $1"
 else
+    echo "moves from $1 to this tree:"
+    python3 scripts/bytes_moves.py "$TMP/rev_out" "$TMP/tree_out"
     exit 1
 fi

@@ -107,7 +107,7 @@ class LambdaPolicy:
         return f"fixed:{text if float(text) == self.fraction else repr(float(self.fraction))}"
 
     def normalized(self, alpha: float, sigma_max: float) -> float:
-        """Ridge on the power-normalized stack: adaptive (1 - alpha^2) * sigma_max,
+        """Ridge on the factorized stack: adaptive (1 - alpha^2) * sigma_max,
         heavy when communication dominates, or fixed fraction * sigma_max."""
         if sigma_max < 0:
             raise ValueError("sigma_max must be nonnegative")

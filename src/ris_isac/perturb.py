@@ -9,12 +9,11 @@ an SVD-filtered Tikhonov step, which forms rotation = exp(j*delta_phi) once.
 
 Sign convention: with that v, the beam sum toward target k is exactly
 
-    eta_k = sum_n exp(j*(ang(h_n) - ang(a_k_n))) * conj(rotation_n),
+    eta_k = sum_n (h_n / |h_n|) * conj(a_k_n) * conj(rotation_n),
 
-so the physical beampattern gain equals P*M*beta_g*|eta_k|^2 with no
-approximation.  The solver's objective and Taylor-bound check use this exact
-form, the metrics use beamforming.beam_gains, and the linearization exists
-only inside the solver.
+so the physical beampattern gain is exactly P*M*beta_g*|eta_k|^2.  The solver's
+objective and Taylor-bound check use this exact form, the metrics use
+beamforming.beam_gains, and the linearization exists only inside the solver.
 """
 
 from __future__ import annotations
@@ -55,22 +54,22 @@ def eta_targets(alpha, weights, n_elements: int) -> np.ndarray:
     return alpha * w * n_elements
 
 
-def _stack(alignment: np.ndarray, scale: float) -> np.ndarray:
-    """scale * [-Im(alignment); Re(alignment)]: the real stacking of j * alignment."""
-    return scale * np.vstack([-alignment.imag, alignment.real])
+def _stack(alignment: np.ndarray) -> np.ndarray:
+    """[-Im(alignment); Re(alignment)]: the real stacking of j * alignment."""
+    return np.vstack([-alignment.imag, alignment.real])
 
 
 @dataclass(frozen=True)
 class PerturbationSystem:
-    """Linearized target system of one fading realization and its SVD.
+    """Linearized target system of one fading realization and its unit-free SVD.
 
     Nothing here depends on the beam-sum targets eta_bar, so one
     factorization serves any number of designs; the methods that need
     targets take them, one row (K,) per design, as a (C, K) batch.
     """
 
-    alignment: np.ndarray  # K x N unit-modulus exp(j*(ang(h)-ang(a_k)))
-    scale: float  # sqrt(P*M*beta_g)
+    alignment: np.ndarray  # K x N unit phasors (h/|h|) * conj(a_k); phase 0 where h is 0
+    scale: float  # sqrt(P*M*beta_g), only for a_stacked, b_stacked and the objective
     svd_u: np.ndarray  # 2K x min(2K, N)
     svd_s: np.ndarray  # min(2K, N) singular values, descending
     svd_vt: np.ndarray  # min(2K, N) x N
@@ -85,19 +84,24 @@ class PerturbationSystem:
 
     @property
     def a_stacked(self) -> np.ndarray:
-        """2K x N real stack, the Jacobian of the beam-sum miss (recomputed on each access)."""
-        return _stack(self.alignment, self.scale)
+        """2K x N real stack, the scaled Jacobian of the miss (recomputed on each access)."""
+        return self.scale * _stack(self.alignment)
 
-    def b_stacked(self, eta_bar) -> np.ndarray:
-        """Real right-hand sides (..., 2K): the scaled miss of the unperturbed beam sums."""
+    def _miss(self, eta_bar) -> np.ndarray:
+        """Real miss (..., 2K) of the unperturbed beam sums, in beam-sum units."""
         if np.shape(eta_bar)[-1:] != (self.n_targets,):
             raise ShapeError("b_stacked: eta_bar length mismatch")
         b = self.alignment.sum(axis=1) - eta_bar
-        return self.scale * np.concatenate([b.real, b.imag], axis=-1)
+        return np.concatenate([b.real, b.imag], axis=-1)
+
+    def b_stacked(self, eta_bar) -> np.ndarray:
+        """Real right-hand sides (..., 2K): the miss scaled by sqrt(P*M*beta_g)."""
+        return self.scale * self._miss(eta_bar)
 
     def check_stacking(self, eta_bar) -> None:
         """Verify on random perturbations that the stacked real objective
-        reproduces the weighted complex objective, for every row of eta_bar (C, K)."""
+        reproduces the weighted complex objective, for every row of eta_bar (C, K).
+        It covers the solver's unscaled stack and miss: both come from _stack and _miss."""
         eta_bar = np.asarray(eta_bar, dtype=float)
         # the identity is algebraic, so any fixed non-degenerate perturbations
         # check it; uniform ones on [-2, 2) spread like unit normals and cost a
@@ -112,8 +116,8 @@ class PerturbationSystem:
 
     @property
     def sigma_max_normalized(self) -> float:
-        """Largest singular value of the stack with the power scale removed."""
-        return float(self.svd_s[0] / self.scale)
+        """Largest singular value of the factorized stack, which carries no power scale."""
+        return float(self.svd_s[0])
 
     def eta_exact_all(self, rotation: np.ndarray) -> np.ndarray:
         """Exact beam sums (..., K) of rotations exp(j*delta_phi) (..., N)."""
@@ -137,7 +141,7 @@ class SolveReport:
     delta_phi: np.ndarray
     rotation: np.ndarray  # exp(j*delta_phi), the factor v_comm is multiplied by
     objective_value: np.ndarray  # exact-beam-sum objective at the solution
-    lambda_used: np.ndarray  # normalized ridge, as LambdaPolicy.normalized returns it
+    lambda_used: np.ndarray  # the one ridge, as LambdaPolicy.normalized returns it
     max_abs_perturbation: np.ndarray
     linearization_error_bound: np.ndarray  # ||delta_phi||^2 / 2, in beam-sum units
 
@@ -146,8 +150,8 @@ def build_system(
     h_ue: np.ndarray, a_targets: np.ndarray, gain_prefactor: float
 ) -> PerturbationSystem:
     """Assemble the linearized system of one realization, with target steering
-    a_targets (K, N), and its thin SVD (no factor above 2K*N entries, O(K^2*N)
-    work), scaled by sqrt(gain_prefactor), the link gain P*beta_g*M.
+    a_targets (K, N), and the thin SVD of its unit-free stack (no factor above
+    2K*N entries, O(K^2*N) work); the link gain P*beta_g*M only scales its views.
 
     The stacked real objective ||A~ dphi - b~||^2 must reproduce the
     weighted complex objective; check_stacking() verifies this for the
@@ -165,12 +169,12 @@ def build_system(
             IllPosedWarning,
         )
 
-    align = np.exp(1j * (np.angle(h_ue) - np.angle(a_targets)))
-    scale = float(np.sqrt(gain_prefactor))
+    align = np.divide(h_ue, abs(h_ue), out=np.ones_like(h_ue), where=h_ue != 0) * np.conj(a_targets)
     try:
-        u, s, vt = np.linalg.svd(_stack(align, scale), full_matrices=False)
+        u, s, vt = np.linalg.svd(_stack(align), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
+    scale = float(np.sqrt(gain_prefactor))
     return PerturbationSystem(alignment=align, scale=scale, svd_u=u, svd_s=s, svd_vt=vt)
 
 
@@ -178,25 +182,22 @@ def solve_perturbation(system: PerturbationSystem, eta_bar, lam) -> SolveReport:
     """Tikhonov solves through the stored SVD, one per row of eta_bar (C, K),
     each with its own ridge lam (C,).
 
-    lam is the ridge on the power-normalized stack, the value that
-    LambdaPolicy.normalized returns; the scaled stack this system factorizes
-    takes scale^2 * lam.  For a zero ridge, singular values below
-    PINV_RCOND * sigma_max are truncated (pseudo-inverse).  The reported
-    objective uses the exact beam sums, not the linearized surrogate.
+    lam is the one ridge, as LambdaPolicy.normalized returns it: the factorized
+    stack and its miss are both in beam-sum units.  For a zero ridge, singular
+    values below PINV_RCOND * sigma_max are truncated (pseudo-inverse).  The
+    objective is P*M*beta_g times the exact, not linearized, squared miss.
     """
     eta_bar, lam = np.asarray(eta_bar, dtype=float), np.asarray(lam, dtype=float)
-    b = system.b_stacked(eta_bar)
+    b = system._miss(eta_bar)
     if b.ndim != 2 or lam.shape != b.shape[:1]:
         raise ShapeError("solve_perturbation: need eta_bar (C, K) and lam (C,)")
     if (lam < 0).any():
         raise ValueError("lambda must be nonnegative")
-    ridge = system.scale**2 * lam
     s = system.svd_s
     with np.errstate(divide="ignore", invalid="ignore"):
-        filt = s / (s**2 + ridge[:, None])
-        if (ridge == 0.0).any():
-            cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
-            filt[ridge == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
+        filt = s / (s**2 + lam[:, None])
+        cutoff = PINV_RCOND * (s[0] if len(s) else 0.0)
+        filt[lam == 0.0] = np.where(s > cutoff, 1.0 / s, 0.0)
 
     delta_phi = row_products(filt * row_products(b, system.svd_u), system.svd_vt)
 

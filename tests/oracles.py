@@ -1,7 +1,8 @@
 """Test oracles: the BS-side steering, the matched beamformer and both metrics
 in their general pre-MRT form, which the factored forms in
-``ris_isac.beamforming`` must match, and the SDR randomization's candidate
-stream replayed one trial at a time."""
+``ris_isac.beamforming`` must match, the perturbation system's target
+alignment in its angle form, and the SDR randomization's candidate stream
+replayed one trial at a time."""
 
 import numpy as np
 
@@ -69,6 +70,12 @@ def beampattern_gain_general(
         raise ShapeError("beampattern_gain_general: RIS-side length mismatch")
     ris_sum = np.sum(np.conj(a_target) * np.conj(v) * g_ris)  # a^H diag(v^H) g_ris
     return float(beta_g * np.abs(ris_sum) ** 2 * np.abs(np.vdot(g_bs, w)) ** 2)
+
+
+def alignment(h_ue: np.ndarray, a_targets: np.ndarray) -> np.ndarray:
+    """The target alignment (K, N) in its angle form, exp(j*(ang(h_n) - ang(a_k_n)));
+    an exact-zero channel entry has phase 0, as np.angle gives it."""
+    return np.exp(1j * (np.angle(h_ue) - np.angle(a_targets)))
 
 
 def sequential_candidates(factor: np.ndarray, rng, trials: int) -> list[np.ndarray]:

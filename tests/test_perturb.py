@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import beampattern_gain_general, mrt_beamformer
+from oracles import alignment, beampattern_gain_general, mrt_beamformer
 from ris_isac import (
     ConfigError,
     LambdaPolicy,
@@ -15,6 +15,7 @@ from ris_isac import (
     comm_optimal_phase,
     design,
     gain_upper_bound,
+    load_default_scenario,
     realize,
     solve_perturbation,
 )
@@ -209,6 +210,43 @@ class TestBuildSystem:
         monkeypatch.setattr(PerturbationSystem, "a_stacked", property(lambda s: 2.0 * stack(s)))
         with pytest.raises(NumericalError):
             sys_.check_stacking(batch)
+
+    def test_design_is_unit_free(self):
+        """The link gain P*beta_g*M only rescales the miss: the factorization and
+        every solve are bit-identical whatever the prefactor."""
+        reports, sigmas = [], []
+        for prefactor in (1.0, 7.3e-9, 1e6):
+            system, eta_bar = random_problem(child_rng(24), 441, 2, prefactor)
+            sigma = system.sigma_max_normalized
+            lam = np.array([0.0, 0.5, 0.1]) * sigma
+            reports.append(solve_perturbation(system, [eta_bar, 0.5 * eta_bar, eta_bar], lam))
+            sigmas.append(sigma)
+        assert sigmas[0] == sigmas[1] == sigmas[2]
+        for report in reports[1:]:
+            for field in ("delta_phi", "rotation", "lambda_used"):
+                assert np.array_equal(getattr(report, field), getattr(reports[0], field)), field
+
+    def test_alignment_matches_angle_oracle(self):
+        """The phasor alignment equals the angle form and is unit-modulus to 4e-15
+        on 64x64 realizations."""
+        scenario = load_default_scenario().replace(ris_rows=64, ris_cols=64)
+        for seed in range(1, 6):
+            ch = realize(scenario.replace(seed=seed)).channels
+            align = build_system(ch.h_ue, ch.a_targets, ch.gain_prefactor).alignment
+            np.testing.assert_allclose(align, alignment(ch.h_ue, ch.a_targets), rtol=0, atol=4e-15)
+            np.testing.assert_allclose(np.abs(align), 1.0, rtol=0, atol=4e-15)
+
+    def test_alignment_of_zero_channel_entry(self):
+        """An exact-zero channel entry has phase 0, as np.angle gives it: the
+        alignment there is conj(a_k), not NaN."""
+        rng = child_rng(25)
+        h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        h[5] = 0.0
+        a_targets = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, 16)))
+        align = build_system(h, a_targets, 1.0).alignment
+        assert np.isfinite(align).all()
+        np.testing.assert_allclose(align[:, 5], np.conj(a_targets[:, 5]), rtol=0, atol=4e-15)
+        np.testing.assert_allclose(align, alignment(h, a_targets), rtol=0, atol=4e-15)
 
     def test_svd_shapes_thin(self):
         sys_ = random_system(child_rng(16), 12, 2)
